@@ -132,7 +132,7 @@ class MirsParams:
     #: flips this.
     eject_all: bool = False
     #: II-search policy: a registered name (``"linear"``,
-    #: ``"geometric"``, ``"bisection"``) or an
+    #: ``"geometric"``) or an
     #: :class:`~repro.core.search.IISearchPolicy` instance.  Part of the
     #: scheduling problem's identity: it participates in
     #: :meth:`canonical` and therefore in the ``exec`` cache keys.

@@ -24,7 +24,7 @@ from repro.graph.ddg import DepKind, DependenceGraph
 from repro.machine.config import MachineConfig
 from repro.core.params import MirsParams
 from repro.core.priority import PriorityList
-from repro.obs.metrics import LegacySearchStats, SearchStats
+from repro.obs.metrics import SearchStats
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.schedule.colouring import IncrementalArcColouring
 from repro.schedule.partial import PartialSchedule
@@ -59,19 +59,6 @@ class SchedulerStats:
     #: excluded from result fingerprints, so speculative and serial
     #: runs stay fingerprint-identical.
     search: SearchStats | None = None
-
-    @property
-    def search_stats(self) -> LegacySearchStats:
-        """The historical dict shape of :attr:`search`.
-
-        Kept for backwards compatibility: equality/iteration/JSON
-        behave as before, keyed access raises a
-        :class:`~repro.errors.ConfigError` (read the typed
-        :attr:`search` instead).
-        """
-        return LegacySearchStats(
-            {} if self.search is None else self.search.as_dict()
-        )
 
 
 class SchedulerState:

@@ -3,9 +3,11 @@
 Every schedule returned by either scheduler is re-checked from first
 principles - dependence edges, resource reservations, cluster-locality of
 register values, register-file capacity.  The verifier shares no state
-with the schedulers (it rebuilds a fresh MRT), so it catches scheduler
-bugs instead of inheriting them; the property-based tests lean on it
-heavily.
+with the schedulers: it resolves every reservation afresh (through the
+same :class:`~repro.machine.reservation.ReservationResolver` that
+defines the reservation shapes for everyone) and solves the instance
+assignment exactly, so it catches scheduler bugs instead of inheriting
+them; the property-based tests lean on it heavily.
 """
 
 from __future__ import annotations
@@ -13,22 +15,24 @@ from __future__ import annotations
 from repro.graph.ddg import DepKind, DependenceGraph
 from repro.graph.latency import edge_latency
 from repro.machine.config import MachineConfig
+from repro.machine.reservation import ReservationResolver
 from repro.machine.resources import ResourceClass
-from repro.schedule.mrt import ModuloReservationTable
 from repro.errors import SchedulingError
 
 
-def _instances_assignable(masks: list[int], capacity: int) -> bool:
+def instances_assignable(masks: list[int], capacity: int) -> bool:
     """Exact test: can the row-masks be packed onto ``capacity`` instances?
 
     Each instance may hold any set of pairwise-disjoint masks.  Single-row
-    masks reduce to the per-row capacity check the caller already ran;
-    multi-row masks (unpipelined operations) make this a small exact
-    cover search - backtracking over instances, most-constrained mask
-    first, with symmetric instance states deduplicated.  Problem sizes
-    are tiny (<= machine FU count instances, <= II-bit masks), so the
-    search is effectively instant; a step budget guards pathological
-    inputs and errs on the conservative (reject) side.
+    masks reduce to the per-row capacity check :func:`pool_overflow` runs
+    first; multi-row masks (unpipelined operations) make this a small
+    exact cover search - backtracking over instances, most-constrained
+    mask first, with symmetric instance states deduplicated.  Problem
+    sizes are tiny (<= machine FU count instances, <= II-bit masks), so
+    the search is effectively instant; a step budget guards pathological
+    inputs and errs on the conservative (reject) side.  The exact
+    scheduling backend (:mod:`repro.smt`) shares it, so the verifier and
+    the solvers agree on what "fits the instances" means.
     """
     masks = sorted(masks, key=lambda m: -m.bit_count())
     instances = [0] * capacity
@@ -57,14 +61,19 @@ def _instances_assignable(masks: list[int], capacity: int) -> bool:
     return backtrack(0)
 
 
-def instances_assignable(masks: list[int], capacity: int) -> bool:
-    """Public name of the exact instance-packing test.
+def pool_overflow(masks: list[int], capacity: int, ii: int) -> int | None:
+    """Why a pool of MRT row masks does not fit ``capacity`` instances.
 
-    The exact scheduling backend (:mod:`repro.smt`) shares it: both the
-    verifier and the solvers must agree on what "fits the instances"
-    means for multi-row (unpipelined) reservations.
+    ``None`` when it fits.  Otherwise the first row demanded by more
+    than ``capacity`` masks (a necessary condition, with a precise
+    culprit row), or ``-1`` when every row is within capacity but the
+    masks admit no exact packing (:func:`instances_assignable`).
     """
-    return _instances_assignable(masks, capacity)
+    for row in range(ii):
+        bit = 1 << row
+        if sum(1 for mask in masks if mask & bit) > capacity:
+            return row
+    return None if instances_assignable(masks, capacity) else -1
 
 
 def verify_schedule(
@@ -124,20 +133,17 @@ def verify_schedule(
     # id order can fail even though the scheduler held a conflict-free
     # assignment while building it (surfaced by the paper-scale suite:
     # div-heavy loops at 1258-loop scale).
-    mrt = ModuloReservationTable(machine, ii)
+    reservations = ReservationResolver(machine, ii)
     demands: dict[tuple[ResourceClass, int], list[tuple[int, int]]] = {}
     for node in sorted(graph.nodes(), key=lambda n: n.id):
         if node.id not in times or node.id not in clusters:
             continue
         try:
-            groups = mrt.reservation_groups(
-                node,
-                clusters[node.id],
-                times[node.id],
-                src_cluster=node.src_cluster,
+            groups = reservations.groups(
+                node.kind, clusters[node.id], times[node.id], node.src_cluster
             )
         except SchedulingError as exc:
-            violations.append(f"resource conflict: {exc}")
+            violations.append(f"resource conflict: node {node.id}: {exc}")
             continue
         if groups is None:
             violations.append(
@@ -146,34 +152,25 @@ def verify_schedule(
             )
             continue
         for resource, target, rows in groups:
-            mask = 0
-            for row in rows:
-                mask |= 1 << row
-            demands.setdefault((resource, target), []).append(
-                (node.id, mask)
-            )
+            mask = sum(1 << row for row in rows)
+            demands.setdefault((resource, target), []).append((node.id, mask))
     for (resource, target), items in sorted(
         demands.items(), key=lambda kv: (kv[0][0].name, kv[0][1])
     ):
-        capacity = mrt.instance_count(resource, target)
+        capacity = machine.instances(resource)
+        assert capacity is not None  # unbounded pools are never resolved
         where = "interconnect" if target == -1 else f"cluster {target}"
-        # Per-row capacity: a necessary condition with a precise
-        # culprit list when it fails.
-        over_rows: list[tuple[int, list[int]]] = []
-        for row in range(ii):
-            bit = 1 << row
-            users = [nid for nid, mask in items if mask & bit]
-            if len(users) > capacity:
-                over_rows.append((row, users))
-        if over_rows:
-            row, users = over_rows[0]
+        row = pool_overflow([m for _, m in items], capacity, ii)
+        if row is None:
+            continue
+        if row >= 0:
+            users = [nid for nid, mask in items if mask >> row & 1]
             violations.append(
                 f"resource conflict: {len(users)} nodes {users} need "
                 f"{resource.name} of {where} in MRT row {row} but only "
                 f"{capacity} instances exist"
             )
-            continue
-        if not _instances_assignable([m for _, m in items], capacity):
+        else:
             violations.append(
                 f"resource conflict: reservations on {resource.name} of "
                 f"{where} admit no conflict-free assignment onto "

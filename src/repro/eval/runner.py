@@ -5,15 +5,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.params import MirsParams
-from repro.core.request import (
-    _UNSET,
-    ScheduleRequest,
-    SessionConfig,
-    fold_legacy_request,
-    fold_legacy_session,
-)
+from repro.core.request import ScheduleRequest, SessionConfig
 from repro.core.result import ScheduleResult
-from repro.exec.cache import ResultCache
 from repro.exec.engine import SuiteExecutor, int_env
 from repro.machine.config import MachineConfig
 from repro.workloads.perfect import SuiteLoop, cached_suite
@@ -111,16 +104,9 @@ def schedule_suite(
     machine: MachineConfig,
     loops: tuple[SuiteLoop, ...] | list[SuiteLoop],
     request: ScheduleRequest | str | None = None,
-    graphs=None,
     *,
+    graphs=None,
     session: SessionConfig | SuiteExecutor | None = None,
-    scheduler: str = _UNSET,
-    params: MirsParams | None = _UNSET,
-    jobs: int | None = _UNSET,
-    cache: ResultCache | bool | None = _UNSET,
-    executor: SuiteExecutor | None = _UNSET,
-    search=_UNSET,
-    speculation: int | None = _UNSET,
 ) -> SuiteRun:
     """Run one scheduler over a workbench subset.
 
@@ -140,26 +126,12 @@ def schedule_suite(
             :class:`~repro.core.request.SessionConfig` (jobs, cache,
             progress) or a pre-built executor; reuse one session across
             calls to accumulate stats in a single executor.
-
-    The remaining keywords (``scheduler``, ``params``, ``jobs``,
-    ``cache``, ``executor``, ``search``, ``speculation``) are the
-    removed pre-request spellings; passing any of them raises a
-    :class:`~repro.errors.ConfigError` with a migration hint.
     """
-    if isinstance(graphs, MirsParams):
-        # Historical 4th positional was params; rejected with the same
-        # migration hint as the keyword spelling.
-        params = graphs
-        graphs = None
-    request = fold_legacy_request(
-        "schedule_suite", request,
-        scheduler=scheduler, params=params, search=search,
-        speculation=speculation,
+    request = ScheduleRequest.coerce(request)
+    session = SessionConfig.coerce(session)
+    results = session.make_executor().run(
+        machine, loops, request, graphs=graphs
     )
-    session = fold_legacy_session(
-        "schedule_suite", session, jobs=jobs, cache=cache, executor=executor
-    )
-    results = session.make_executor().run(machine, loops, request, graphs)
     return SuiteRun(
         machine=machine, scheduler_name=request.scheduler, results=results
     )

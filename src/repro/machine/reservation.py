@@ -13,6 +13,11 @@ which the paper calls out explicitly, are:
   source cluster and one *bus* at the issue cycle, and the *input port*
   of the destination cluster when the value arrives, ``lambda_m - 1``
   cycles later.
+
+:class:`ReservationResolver` folds these tables onto the rows of a
+modulo reservation table at one II.  It is the single definition of
+"which (resource, cluster, rows) does this placement hold" shared by
+the scheduler's MRT, the schedule verifier and the exact backend.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SchedulingError
 from repro.machine.config import MachineConfig
 from repro.machine.resources import OpKind, ResourceClass
 
@@ -114,6 +119,81 @@ def reservation_steps(
             ),
         )
     raise ConfigError(f"no reservation table for operation kind {kind}")
+
+
+#: One resolved reservation: ``(resource, cluster or -1, rows)``.  A
+#: single resource instance must be free at every row of the group;
+#: global resources (buses) use cluster ``-1``.
+ReservationGroup = tuple[ResourceClass, int, list[int]]
+
+
+class ReservationResolver:
+    """Resolves operation reservation tables at one initiation interval.
+
+    Steps are cached per operation kind, with unbounded buses (never a
+    constraint) already dropped and kinds whose occupancy exceeds II
+    marked as self-colliding, so a lookup only maps rows.
+    """
+
+    def __init__(self, machine: MachineConfig, ii: int) -> None:
+        self.machine = machine
+        self.ii = ii
+        self._steps: dict[OpKind, tuple[ReservationStep, ...] | None] = {}
+
+    def _kind_steps(self, kind: OpKind) -> tuple[ReservationStep, ...] | None:
+        steps = tuple(
+            step
+            for step in reservation_steps(kind, self.machine)
+            if not (
+                step.resource is ResourceClass.BUS and self.machine.buses is None
+            )
+        )
+        if any(step.duration > self.ii for step in steps):
+            return None  # one instance would collide with itself
+        return steps
+
+    def groups(
+        self,
+        kind: OpKind,
+        cluster: int,
+        cycle: int,
+        src_cluster: int | None = None,
+    ) -> list[ReservationGroup] | None:
+        """The reservation groups of an operation issued at ``cycle``.
+
+        ``cluster`` is the operation's own cluster (a move's
+        destination); ``src_cluster`` is a move's source cluster.
+        Returns ``None`` when the reservation collides with itself
+        (occupancy exceeds II), which no placement can fix.
+        """
+        try:
+            steps = self._steps[kind]
+        except KeyError:
+            steps = self._steps[kind] = self._kind_steps(kind)
+        if steps is None:
+            return None
+        ii = self.ii
+        groups: list[ReservationGroup] = []
+        for step in steps:
+            if step.role is ClusterRole.SELF:
+                target = cluster
+            elif step.role is ClusterRole.GLOBAL:
+                target = -1
+            elif src_cluster is None:
+                raise SchedulingError(
+                    f"{kind.value} placed without a source cluster"
+                )
+            else:
+                target = src_cluster
+            start = cycle + step.offset
+            groups.append(
+                (
+                    step.resource,
+                    target,
+                    [(start + i) % ii for i in range(step.duration)],
+                )
+            )
+        return groups
 
 
 def max_occupancy(machine: MachineConfig, kinds: set[OpKind]) -> int:

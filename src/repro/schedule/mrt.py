@@ -3,8 +3,9 @@
 A modulo schedule at initiation interval II repeats every II cycles, so a
 resource used at cycle *t* is used at *every* cycle congruent with
 ``t mod II``.  The MRT therefore has II rows per resource instance, and an
-operation can be placed at cycle *t* only if every resource step of its
-reservation table finds a free instance at the corresponding row.
+operation can be placed at cycle *t* only if every resource group of its
+reservation (resolved by :class:`~repro.machine.reservation.ReservationResolver`)
+finds a free instance at all of the group's rows.
 
 Two non-trivial cases (both called out by the paper):
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 from repro.errors import SchedulingError
 from repro.graph.ddg import Node
 from repro.machine.config import MachineConfig
-from repro.machine.reservation import ClusterRole, reservation_steps
+from repro.machine.reservation import ReservationResolver
 from repro.machine.resources import ResourceClass
 
 
@@ -51,53 +52,7 @@ class ModuloReservationTable:
             ]
         # node_id -> list of (resource, cluster, instance, row) it holds.
         self._held: dict[int, list[tuple[ResourceClass, int, int, int]]] = {}
-        # Reservation tables are identical for all operations of a kind on
-        # a given machine; cache them per MRT.
-        self._steps_cache: dict = {}
-
-    # ------------------------------------------------------------------
-    # Step resolution
-    # ------------------------------------------------------------------
-
-    def _resolved_groups(
-        self,
-        node: Node,
-        cluster: int,
-        cycle: int,
-        src_cluster: int | None,
-    ) -> list[tuple[ResourceClass, int, list[int]]] | None:
-        """Resolve the node's reservation steps at the given placement.
-
-        Returns a list of (resource, cluster, rows) groups, where each
-        group must be satisfied by a *single* resource instance free at
-        all its rows.  Returns ``None`` when the reservation collides with
-        itself (occupancy > II on one instance).
-        """
-        steps = self._steps_cache.get(node.kind)
-        if steps is None:
-            steps = reservation_steps(node.kind, self.machine)
-            self._steps_cache[node.kind] = steps
-        groups: list[tuple[ResourceClass, int, list[int]]] = []
-        for step in steps:
-            if step.role is ClusterRole.SELF:
-                target = cluster
-            elif step.role is ClusterRole.SOURCE:
-                if src_cluster is None:
-                    raise SchedulingError(
-                        f"move node {node.id} placed without a source cluster"
-                    )
-                target = src_cluster
-            else:
-                target = -1
-            if step.resource is ResourceClass.BUS and self.machine.buses is None:
-                continue  # unbounded interconnect: never a constraint
-            rows = [
-                (cycle + step.offset + i) % self.ii for i in range(step.duration)
-            ]
-            if len(set(rows)) < len(rows):
-                return None  # self-collision: occupancy exceeds II
-            groups.append((step.resource, target, rows))
-        return groups
+        self._reservations = ReservationResolver(machine, ii)
 
     def _free_instance(
         self, resource: ResourceClass, cluster: int, rows: list[int]
@@ -120,7 +75,9 @@ class ModuloReservationTable:
         src_cluster: int | None = None,
     ) -> bool:
         """True if the node fits at (cluster, cycle) without conflicts."""
-        groups = self._resolved_groups(node, cluster, cycle, src_cluster)
+        groups = self._reservations.groups(
+            node.kind, cluster, cycle, src_cluster
+        )
         if groups is None:
             return False
         return all(
@@ -136,7 +93,8 @@ class ModuloReservationTable:
     ) -> bool:
         """True unless the node's reservation self-collides at this II
         (which no amount of ejection can fix)."""
-        return self._resolved_groups(node, cluster, 0, src_cluster) is not None
+        groups = self._reservations.groups(node.kind, cluster, 0, src_cluster)
+        return groups is not None
 
     def blocking_nodes(
         self,
@@ -151,7 +109,9 @@ class ModuloReservationTable:
         occupants is considered (that is the instance a forced placement
         would evict from), and those occupants are returned.
         """
-        groups = self._resolved_groups(node, cluster, cycle, src_cluster)
+        groups = self._reservations.groups(
+            node.kind, cluster, cycle, src_cluster
+        )
         if groups is None:
             raise SchedulingError(
                 f"node {node.id} cannot be force-placed at II={self.ii}: "
@@ -171,29 +131,6 @@ class ModuloReservationTable:
             if best:
                 victims |= best
         return victims
-
-    def reservation_groups(
-        self,
-        node: Node,
-        cluster: int,
-        cycle: int,
-        src_cluster: int | None = None,
-    ) -> list[tuple[ResourceClass, int, list[int]]] | None:
-        """The node's resolved reservation groups at a placement.
-
-        Each ``(resource, cluster, rows)`` group must be satisfied by a
-        single resource instance free at all its rows; ``None`` means
-        the reservation collides with itself at this II.  Public for the
-        independent verifier, which solves the instance-assignment
-        problem exactly instead of replaying this table's first-fit
-        (whose success is placement-order-dependent for multi-row
-        reservations such as unpipelined divides).
-        """
-        return self._resolved_groups(node, cluster, cycle, src_cluster)
-
-    def instance_count(self, resource: ResourceClass, cluster: int) -> int:
-        """Physical instances backing a (resource, cluster) pool."""
-        return len(self._tables[(resource, cluster)])
 
     def occupancy_fraction(
         self, resource: ResourceClass, cluster: int
@@ -226,7 +163,9 @@ class ModuloReservationTable:
         """Reserve the node's resources; raises on conflict."""
         if node.id in self._held:
             raise SchedulingError(f"node {node.id} is already placed")
-        groups = self._resolved_groups(node, cluster, cycle, src_cluster)
+        groups = self._reservations.groups(
+            node.kind, cluster, cycle, src_cluster
+        )
         if groups is None:
             raise SchedulingError(
                 f"node {node.id} self-collides at II={self.ii}"

@@ -10,6 +10,7 @@ previous position (Section 3.2.2, following Huff [16]).
 from __future__ import annotations
 
 import itertools
+from typing import Protocol
 
 from repro.errors import SchedulingError
 from repro.graph.ddg import Node
@@ -17,10 +18,22 @@ from repro.machine.config import MachineConfig
 from repro.schedule.mrt import ModuloReservationTable
 
 
+class PlacementListener(Protocol):
+    """Observer of placements (the incremental pressure tracker)."""
+
+    def on_place(self, node: Node, cluster: int, cycle: int) -> None:
+        """Called after ``node`` was placed."""
+        ...
+
+    def on_eject(self, node_id: int) -> None:
+        """Called after the node was ejected."""
+        ...
+
+
 class PartialSchedule:
     """Placement state of one scheduling attempt at a fixed II."""
 
-    def __init__(self, machine: MachineConfig, ii: int):
+    def __init__(self, machine: MachineConfig, ii: int) -> None:
         self.machine = machine
         self.ii = ii
         self.mrt = ModuloReservationTable(machine, ii)
@@ -36,11 +49,34 @@ class PartialSchedule:
         # Survives ejections (but not II restarts): the cycle each node
         # occupied the last time it was scheduled.
         self.prev_cycle: dict[int, int] = {}
-        #: Placement observers (the incremental pressure tracker).  Each
-        #: listener may implement ``on_place(node, cluster, cycle)`` and
-        #: ``on_eject(node_id)``; notifications fire *after* the
+        #: Placement observers; notifications fire *after* the
         #: schedule's own state changed.
-        self.listeners: list = []
+        self.listeners: list[PlacementListener] = []
+
+    @classmethod
+    def from_assignment(
+        cls,
+        machine: MachineConfig,
+        ii: int,
+        times: dict[int, int],
+        clusters: dict[int, int],
+    ) -> PartialSchedule:
+        """A finished schedule's placements, recorded in node-id order.
+
+        The MRT stays empty: its online first-fit instance picking is
+        order-dependent for multi-row (unpipelined) reservations and can
+        reject a valid packing replayed in the wrong order.  Resource
+        legality is :func:`~repro.core.verify.verify_schedule`'s job.
+        """
+        schedule = cls(machine, ii)
+        for node_id in sorted(times):
+            cycle = times[node_id]
+            schedule._time[node_id] = cycle
+            schedule._cluster[node_id] = clusters[node_id]
+            schedule._seq[node_id] = next(schedule._counter)
+            schedule._rows.setdefault(cycle % ii, {})[node_id] = clusters[node_id]
+            schedule.prev_cycle[node_id] = cycle
+        return schedule
 
     # ------------------------------------------------------------------
     # Queries

@@ -39,7 +39,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.verify import instances_assignable
-from repro.machine.resources import ResourceClass
+from repro.machine.reservation import ReservationResolver
+from repro.machine.resources import OpKind, ResourceClass
 from repro.smt.problem import FixedIIProblem, MoveSlot
 
 SAT = "sat"
@@ -210,6 +211,7 @@ class _TimeSearch:
         self.in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
         self.fixed = [False] * nvars
         self.infeasible = not self._build_arcs()
+        self.reservations = ReservationResolver(self.machine, self.ii)
         # (resource, cluster) -> [row counts, capacity, masks or None].
         # Masks are tracked only where exact multi-row packing matters
         # (GP pools hosting unpipelined operations).
@@ -310,10 +312,7 @@ class _TimeSearch:
         key = (resource, cluster)
         pool = self.pools.get(key)
         if pool is None:
-            if resource is ResourceClass.BUS:
-                capacity = self.machine.buses
-            else:
-                capacity = self.machine.instances(resource)
+            capacity = self.machine.instances(resource)
             track_masks = resource is ResourceClass.GP_FU and any(
                 occ > 1 for occ in self.problem.occupancy.values()
             )
@@ -324,22 +323,16 @@ class _TimeSearch:
     def _reserve(
         self, resource: ResourceClass, cluster: int, rows: list[int]
     ) -> bool:
-        if resource is ResourceClass.BUS and self.machine.buses is None:
-            return True  # unbounded interconnect: never a constraint
         pool = self._pool(resource, cluster)
         counts, capacity, masks = pool
         key = (resource, cluster)
         mask = 0
         for row in rows:
-            row %= self.ii
-            bit = 1 << row
-            if mask & bit:
-                return False  # self-collision: occupancy exceeds II
-            mask |= bit
             if counts[row] + 1 > capacity:
                 return False
             counts[row] += 1
             self.trail.append(("row", key, row))
+            mask |= 1 << row
         if masks is not None:
             masks.append(mask)
             self.trail.append(("mask", key))
@@ -354,28 +347,17 @@ class _TimeSearch:
         value = self.lb[var]
         if var < len(self.nodes):
             nid = self.nodes[var]
-            node = self.problem.graph.node(nid)
-            cluster = self.clusters[nid]
-            if node.kind.is_compute:
-                occ = self.problem.occupancy[nid]
-                return self._reserve(
-                    ResourceClass.GP_FU,
-                    cluster,
-                    [value + k for k in range(occ)],
-                )
-            if node.kind.is_memory:
-                return self._reserve(ResourceClass.MEM_PORT, cluster, [value])
-            return True
-        slot = self.slots[var - len(self.nodes)]
-        src_cluster = self.clusters[slot.producer]
-        return (
-            self._reserve(ResourceClass.OUT_PORT, src_cluster, [value])
-            and self._reserve(ResourceClass.BUS, -1, [value])
-            and self._reserve(
-                ResourceClass.IN_PORT,
-                slot.dst,
-                [value + self.machine.move_latency - 1],
+            groups = self.reservations.groups(
+                self.problem.graph.node(nid).kind, self.clusters[nid], value
             )
+        else:
+            slot = self.slots[var - len(self.nodes)]
+            groups = self.reservations.groups(
+                OpKind.MOVE, slot.dst, value, self.clusters[slot.producer]
+            )
+        return groups is not None and all(
+            self._reserve(resource, cluster, rows)
+            for resource, cluster, rows in groups
         )
 
     # -- search --------------------------------------------------------

@@ -61,6 +61,7 @@ from repro.errors import SchedulingError
 from repro.graph.ddg import DepKind, DependenceGraph
 from repro.graph.latency import edge_latency, node_latency
 from repro.machine.config import MachineConfig
+from repro.machine.reservation import ReservationResolver
 from repro.machine.resources import OpKind, ResourceClass
 
 
@@ -326,7 +327,7 @@ class FixedIIProblem:
         move_times: dict[tuple[int, int], int],
     ) -> list[str]:
         """Independent validation of an engine's model; [] = valid."""
-        from repro.core.verify import instances_assignable
+        from repro.core.verify import pool_overflow
 
         ii = self.ii
         machine = self.machine
@@ -365,53 +366,36 @@ class FixedIIProblem:
                 )
 
         # Resources: exact per-pool packing, as the verifier does.
+        reservations = ReservationResolver(machine, ii)
+        placements = [
+            (f"node {nid}", self.graph.node(nid).kind, clusters[nid], times[nid], None)
+            for nid in self.nodes
+        ] + [
+            (f"move {slot}", OpKind.MOVE, slot[1], tau, clusters[slot[0]])
+            for slot, tau in move_times.items()
+        ]
         pools: dict[tuple[ResourceClass, int], list[int]] = {}
-
-        def reserve(resource: ResourceClass, cluster: int, rows: list[int]) -> None:
-            mask = 0
-            for row in rows:
-                mask |= 1 << (row % ii)
-            pools.setdefault((resource, cluster), []).append(mask)
-
-        for nid in self.nodes:
-            node = self.graph.node(nid)
-            if node.kind.is_compute:
-                occ = self.occupancy[nid]
-                if occ > ii:
-                    violations.append(f"node {nid} occupancy {occ} > II")
-                    continue
-                reserve(
-                    ResourceClass.GP_FU,
-                    clusters[nid],
-                    [times[nid] + k for k in range(occ)],
+        for name, kind, cluster, cycle, source in placements:
+            groups = reservations.groups(kind, cluster, cycle, source)
+            if groups is None:
+                violations.append(f"{name} occupancy exceeds II")
+                continue
+            for resource, target, rows in groups:
+                pools.setdefault((resource, target), []).append(
+                    sum(1 << row for row in rows)
                 )
-            elif node.kind.is_memory:
-                reserve(ResourceClass.MEM_PORT, clusters[nid], [times[nid]])
-        for (producer, dst), tau in move_times.items():
-            reserve(ResourceClass.OUT_PORT, clusters[producer], [tau])
-            reserve(ResourceClass.IN_PORT, dst, [tau + machine.move_latency - 1])
-            if machine.buses is not None:
-                reserve(ResourceClass.BUS, -1, [tau])
         for (resource, cluster), masks in sorted(
             pools.items(), key=lambda kv: (kv[0][0].name, kv[0][1])
         ):
-            capacity = (
-                machine.buses
-                if resource is ResourceClass.BUS
-                else machine.instances(resource)
-            )
-            for row in range(ii):
-                bit = 1 << row
-                if sum(1 for m in masks if m & bit) > capacity:
-                    violations.append(
-                        f"{resource.name}@{cluster} over capacity in row {row}"
-                    )
-                    break
-            else:
-                if not instances_assignable(masks, capacity):
-                    violations.append(
-                        f"{resource.name}@{cluster} admits no instance packing"
-                    )
+            row = pool_overflow(masks, machine.instances(resource), ii)
+            if row is not None and row >= 0:
+                violations.append(
+                    f"{resource.name}@{cluster} over capacity in row {row}"
+                )
+            elif row is not None:
+                violations.append(
+                    f"{resource.name}@{cluster} admits no instance packing"
+                )
 
         if self.register_caps:
             pressure = self.pressure_rows(times, clusters, move_times)

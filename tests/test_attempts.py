@@ -275,7 +275,7 @@ def stress_graphs(count):
 class TestCancellationAccounting:
     def test_losers_are_cancelled_and_extras_are_bounded(self):
         """Executed attempts stay below serial attempts + K, and the
-        search_stats ledger balances (launched = executed real work,
+        typed search ledger balances (launched = executed real work,
         cancelled covers whatever never retired)."""
         machine = parse_config("1-(GP8M4-REG64)")
         graph = next(iter(stress_graphs(1)))
@@ -302,7 +302,6 @@ class TestCancellationAccounting:
             daxpy()
         )
         assert result.stats.search is None
-        assert result.stats.search_stats == {}  # legacy dict shape
 
 
 # ----------------------------------------------------------------------

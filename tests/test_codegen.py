@@ -288,3 +288,25 @@ class TestRegisterNaming:
                     pro_epi[inst.node] = pro_epi.get(inst.node, 0) + 1
             for node in graph.nodes():
                 assert pro_epi.get(node.id, 0) == code.stage_count - 1
+
+
+class TestFinishedScheduleInstall:
+    def test_multi_row_packing_emits_and_certifies(self):
+        """Regression: the emitter used to replay a finished schedule
+        through the MRT's first-fit ``place()`` in node-id order.  With
+        four divides of occupancy 17 at II 45 that replay parks a divide
+        on the FU another one needs and raises a resource conflict on a
+        schedule the verifier accepts.  The emitter now installs the
+        placements without replaying them."""
+        from repro.analysis import certify_code
+        from repro.sim.differential import run_differential
+        from repro.workloads.stress import stress_suite
+
+        machine = parse_config("1-(GP8M4-REG64)")
+        result = MirsC(machine, search="geometric").schedule(
+            stress_suite(1, 7002)[0]
+        )
+        assert result.converged and result.ii == 45
+        code = generate_code(result)
+        assert certify_code(code, result).ok
+        assert run_differential(result, 20, cache=False).match
