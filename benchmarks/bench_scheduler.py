@@ -507,9 +507,7 @@ def _measure_speculation(stress_loops) -> dict:
             "converged": result.converged,
             "fingerprint": result_fingerprint(result),
             "attempts": len(result.stats.search_trace),
-            "search": (
-                result.stats.search.as_dict() if result.stats.search else {}
-            ),
+            "search": result.stats.search.as_dict(),
         }
     k1, k4 = entries[1], entries[4]
     return {

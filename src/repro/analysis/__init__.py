@@ -12,7 +12,7 @@ Entry points:
 * :func:`certify_code` — certify emitted code against its schedule;
 * :func:`certify_schedule` — emit and certify in one call;
 * ``repro analyze`` — the CLI front-end (nonzero exit on violations);
-* ``REPRO_STATIC_CERTIFY=1`` — the sanitizer hook: every
+* ``REPRO_SELFCHECK=certify`` — the sanitizer hook: every
   :func:`~repro.codegen.generate_code` call certifies its own output
   and raises :class:`repro.errors.CertificationError` on violations.
 """

@@ -21,19 +21,14 @@ from __future__ import annotations
 import time
 
 from repro.core.params import MirsParams, max_ii_for
-from repro.core.result import ScheduleResult
+from repro.core.result import ScheduleResult, converged_result
 from repro.core.state import SchedulerState
-from repro.core.verify import verify_schedule
 from repro.cluster.moves import add_move, next_needed_move
 from repro.cluster.selection import select_cluster
-from repro.errors import SchedulingError
 from repro.graph.ddg import DependenceGraph
 from repro.graph.mii import compute_mii
 from repro.machine.config import MachineConfig
-from repro.machine.resources import OpKind
 from repro.order.hrms import hrms_order
-from repro.schedule.lifetimes import LifetimeAnalysis
-from repro.schedule.regalloc import allocate_registers
 from repro.schedule.slots import dependence_window, find_free_slot
 
 
@@ -65,8 +60,21 @@ class NonIterativeScheduler:
         while ii <= limit:
             state = self._attempt(pristine.clone(), ii, ordering.priority)
             if state is not None:
-                return self._finalize(
-                    state, mii, restarts, time.perf_counter() - started
+                # The result keeps the graph; stop observing it so the
+                # tracker (and the whole partial schedule) are not
+                # retained with it.
+                state.pressure.detach()
+                return converged_result(
+                    state.graph,
+                    state.schedule,
+                    self.machine,
+                    mii=mii,
+                    memory_traffic=state.memory_operation_count(),
+                    stats=state.stats,
+                    restarts=restarts,
+                    seconds=time.perf_counter() - started,
+                    verify=self.verify,
+                    scheduler="[31]",
                 )
             restarts += 1
             ii += 1
@@ -110,7 +118,7 @@ class NonIterativeScheduler:
                     return None
             if not self._place(state, node, cluster):
                 return None
-        if not self._fits_registers(state):
+        if not state.fits_registers():
             return None
         return state
 
@@ -128,83 +136,3 @@ class NonIterativeScheduler:
         state.schedule.place(node, cluster, slot, src_cluster=src_cluster)
         state.stats.nodes_scheduled += 1
         return True
-
-    def _fits_registers(self, state: SchedulerState) -> bool:
-        available = state.machine.cluster.registers
-        if available is None:
-            return True
-        # MaxLive never exceeds the allocation, so the state's live
-        # pressure tracker rejects over-budget attempts without running
-        # the allocator (same short-circuit as MIRS-C's final check).
-        if any(
-            live > available
-            for live in state.pressure.max_live_all().values()
-        ):
-            return False
-        if state.colouring is not None:
-            return all(
-                used <= available
-                for used in state.colouring.registers_used_all().values()
-            )
-        allocations = allocate_registers(
-            state.graph, state.schedule, state.machine, state.pressure
-        )
-        return all(
-            alloc.registers_used <= available
-            for alloc in allocations.values()
-        )
-
-    # ------------------------------------------------------------------
-
-    def _finalize(
-        self,
-        state: SchedulerState,
-        mii: int,
-        restarts: int,
-        elapsed: float,
-    ) -> ScheduleResult:
-        graph = state.graph
-        schedule = state.schedule
-        # The result keeps the graph; stop observing it so the tracker
-        # (and the whole partial schedule) are not retained with it.
-        state.pressure.detach()
-        analysis = LifetimeAnalysis(graph, schedule, state.machine)
-        allocations = allocate_registers(
-            graph, schedule, state.machine, analysis
-        )
-        times = {n: schedule.time(n) for n in schedule.scheduled_ids()}
-        clusters = {n: schedule.cluster(n) for n in schedule.scheduled_ids()}
-        register_usage = {c: a.registers_used for c, a in allocations.items()}
-        result = ScheduleResult(
-            loop=graph.name,
-            machine=state.machine,
-            converged=True,
-            ii=state.ii,
-            mii=mii,
-            times=times,
-            clusters=clusters,
-            register_usage=register_usage,
-            max_live={
-                c: analysis.max_live(c)
-                for c in range(state.machine.clusters)
-            },
-            memory_traffic=state.memory_operation_count(),
-            spill_operations=0,
-            move_operations=graph.count_kind(OpKind.MOVE),
-            stage_count=max(1, schedule.stage_count()),
-            restarts=restarts,
-            scheduling_seconds=elapsed,
-            stats=state.stats,
-            graph=graph,
-            trip_count=graph.trip_count,
-        )
-        if self.verify:
-            violations = verify_schedule(
-                graph, state.machine, state.ii, times, clusters, register_usage
-            )
-            if violations:
-                raise SchedulingError(
-                    f"[31] produced an invalid schedule for {graph.name}: "
-                    + "; ".join(violations[:5])
-                )
-        return result

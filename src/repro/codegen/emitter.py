@@ -26,7 +26,6 @@ reference interpretation of the dependence graph.
 from __future__ import annotations
 
 import dataclasses
-import os
 
 from repro.core.result import ScheduleResult
 from repro.codegen.mve import modulo_variable_expansion_factor
@@ -35,14 +34,7 @@ from repro.graph.ddg import DepKind
 from repro.schedule.lifetimes import LifetimeAnalysis
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.regalloc import allocate_registers
-
-#: Environment knob: any non-empty value turns every
-#: :func:`generate_code` call into a self-certifying one (the static
-#: certifier of :mod:`repro.analysis` runs on the emitted code and a
-#: rejection raises :class:`~repro.errors.CertificationError`) — the
-#: sanitizer mode the CI matrix runs the whole suite under.
-CERTIFY_ENV = "REPRO_STATIC_CERTIFY"
-
+from repro.selfcheck import selfcheck_armed
 
 @dataclasses.dataclass(frozen=True)
 class Instruction:
@@ -237,7 +229,7 @@ def generate_code(result: ScheduleResult) -> GeneratedCode:
             schedule would silently produce wrong register names).  The
             error carries the loop name, so batch drivers can report
             which loop failed without parsing the message.
-        CertificationError: under ``REPRO_STATIC_CERTIFY=1``, when the
+        CertificationError: under ``REPRO_SELFCHECK=certify``, when the
             emitted code fails static certification.
     """
     if not result.converged or result.graph is None:
@@ -338,7 +330,7 @@ def generate_code(result: ScheduleResult) -> GeneratedCode:
         epilogue=epilogue,
         registers=registers,
     )
-    if os.environ.get(CERTIFY_ENV):
+    if selfcheck_armed("certify"):
         # Imported here: repro.analysis certifies *this* module's output.
         from repro.analysis import certify_code
 

@@ -1,10 +1,10 @@
-"""Resumable attempt tasks and the speculative parallel II search.
+"""Resumable attempt tasks and the II search that drives them.
 
 The paper's driver (Figure 4) explores the II ladder one attempt at a
 time, yet every fixed-II attempt is an independent subproblem: it needs
 only the pristine graph, the HRMS priorities, the machine and the
 parameter set.  This module makes that subproblem a first-class,
-picklable value:
+picklable value, and owns MIRS-C's only II-search loop:
 
 * :class:`AttemptTask` — everything one attempt needs, shippable to
   another process (or, later, another machine);
@@ -14,26 +14,27 @@ picklable value:
   :class:`~repro.core.mirsc.MirsC` can finalize without re-running the
   attempt;
 * :class:`AttemptEngine` — the fixed-II attempt loop itself (steps
-  (1)–(6) of Figure 4), extracted from ``MirsC`` so the serial driver
-  and the worker processes execute the identical code path;
+  (1)–(6) of Figure 4), run identically in-process and in the worker
+  processes;
 * :class:`SerialAttemptRunner` / :class:`PoolAttemptRunner` — pluggable
   executors for attempt tasks (in-process, or raced over per-attempt
   worker processes with revocable cancellation);
-* :class:`SpeculativeSearchDriver` — races a frontier of K candidate
-  IIs proposed by the configured
-  :class:`~repro.core.search.IISearchPolicy`, retiring every
-  strictly-higher in-flight candidate once a lower II completes
-  feasibly.
+* :class:`SpeculativeSearchDriver` — the II search at every width K.
+  It asks the configured :class:`~repro.core.search.IISearchPolicy`
+  for a frontier of K candidate IIs and retires every strictly-higher
+  in-flight candidate once a lower II completes feasibly.  At K=1 the
+  frontier is the one II the policy names next, run in-process on a
+  :class:`SerialAttemptRunner`: that is the paper's serial ladder.
 
 Determinism
 -----------
 
-The committed result must be bit-identical to the serial driver's
+The committed result must be bit-identical to the K=1 search's
 regardless of completion order.  The driver never trusts arrival order:
 after every batch of completions it *replays* the search policy from
 ``first_ii`` over the completed outcomes.  The replay either runs off
 the end (search finished — the committed result is the lowest feasible
-II on the replayed path, exactly the serial driver's choice) or stops at
+II on the replayed path, exactly the K=1 search's choice) or stops at
 the first II whose outcome is still unknown; that II anchors the next
 frontier.  Speculative candidates beyond the anchor are predicted by
 feeding the same policy a conservative synthetic failure
@@ -64,7 +65,6 @@ from repro.machine.config import MachineConfig
 from repro.obs.metrics import SearchStats
 from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer
 from repro.schedule.partial import PartialSchedule
-from repro.schedule.regalloc import allocate_registers
 from repro.spill.heuristics import check_and_insert_spill
 
 
@@ -121,10 +121,10 @@ class AttemptTask:
 class FeasibleState:
     """The serializable remains of a successful attempt.
 
-    Carries exactly what :meth:`repro.core.mirsc.MirsC._finalize` needs:
-    the mutated graph (spills and moves included), the complete partial
-    schedule, the spilled-invariant markers, the attempt's counters and
-    the incremental memory-operation count.  The live
+    Carries exactly what :func:`repro.core.result.converged_result`
+    needs: the mutated graph (spills and moves included), the complete
+    partial schedule, the spilled-invariant markers, the attempt's
+    counters and the incremental memory-operation count.  The live
     :class:`~repro.schedule.pressure.PressureTracker` is detached before
     capture, so the object pickles cleanly across process boundaries.
     """
@@ -188,8 +188,8 @@ def run_attempt(task: AttemptTask) -> AttemptResult:
 
 
 # ----------------------------------------------------------------------
-# The fixed-II attempt loop (Figure 4 steps (1)-(6)), shared verbatim by
-# the serial MirsC driver and the attempt-task workers.
+# The fixed-II attempt loop (Figure 4 steps (1)-(6)), run by every
+# attempt task, in-process or in a worker.
 # ----------------------------------------------------------------------
 
 
@@ -269,7 +269,7 @@ class AttemptEngine:
                 # allocation, then spill/balance/eject until it fits.
                 acted = self._checked_spill(state, final=True)
                 if state.pl.empty():
-                    if self._fits_registers(state):
+                    if state.fits_registers():
                         return state, self._outcome(
                             state, OutcomeKind.SCHEDULED, final_rounds
                         )
@@ -512,40 +512,6 @@ class AttemptEngine:
                     state.eject_node(consumer_id)
                     break
 
-    # ------------------------------------------------------------------
-
-    def _fits_registers(self, state: SchedulerState) -> bool:
-        available = state.machine.cluster.registers
-        if available is None:
-            return True
-        # MaxLive is a lower bound on the allocation (the colouring
-        # never beats it), so an over-budget cluster fails without
-        # running the allocator; the exact colouring only arbitrates the
-        # fitting side (footnote 2: MaxLive occasionally underestimates).
-        if any(
-            live > available
-            for live in state.pressure.max_live_all().values()
-        ):
-            return False
-        if state.colouring is not None:
-            # Incremental path: per-cluster counts from the engine's
-            # caches (only clusters whose lifetimes changed recolour).
-            return all(
-                used <= available
-                for used in state.colouring.registers_used_all().values()
-            )
-        allocations = allocate_registers(
-            state.graph,
-            state.schedule,
-            state.machine,
-            state.pressure,
-            spilled_invariants=state.spilled_invariants,
-        )
-        return all(
-            alloc.registers_used <= available
-            for alloc in allocations.values()
-        )
-
 
 # ----------------------------------------------------------------------
 # Attempt runners
@@ -585,8 +551,8 @@ class SerialAttemptRunner(AttemptRunner):
 
     Speculative submissions sit in the queue and are simply never run
     unless they become the needed II, so a K>1 search over this runner
-    does exactly the serial driver's work — it is the degenerate (and
-    always-available) executor, used automatically where nested process
+    does exactly the K=1 search's work.  It is the K=1 executor and the
+    always-available one, used automatically where nested process
     pools are impossible (inside ``repro.exec`` pool workers, which are
     daemonic).
     """
@@ -776,13 +742,14 @@ atexit.register(_close_shared_runner)
 def default_runner(speculation: int) -> AttemptRunner:
     """The runner a driver uses when none is injected.
 
-    A process-wide :class:`PoolAttemptRunner` is shared across searches
+    K=1 runs in-process on a :class:`SerialAttemptRunner`.  For K>1 a
+    process-wide :class:`PoolAttemptRunner` is shared across searches
     (suite runs schedule hundreds of loops; the shared runner carries
     the sizing, growing if a later search asks for more workers).
     Inside a daemonic worker of the ``repro.exec`` suite pool, nested
     process creation is impossible — those get the
-    :class:`SerialAttemptRunner`, which produces identical results by
-    construction.
+    :class:`SerialAttemptRunner` too, which produces identical results
+    by construction.
     """
     global _SHARED_RUNNER
     if speculation <= 1 or multiprocessing.current_process().daemon:
@@ -802,31 +769,33 @@ def default_runner(speculation: int) -> AttemptRunner:
 
 @dataclasses.dataclass
 class SearchResult:
-    """What one speculative search established.
+    """What one II search established.
 
     ``path`` is the serial-equivalent attempt sequence (the replayed
-    policy trajectory over real outcomes) — identical to what the
-    serial driver would have executed.  ``executed`` holds *every*
+    policy trajectory over real outcomes) — identical at every width K.
+    ``trace`` is the result's ``stats.search_trace``, one
+    :meth:`~repro.core.search.AttemptOutcome.as_trace_entry` dict per
+    completed attempt: at K=1 the path in search order; at K>1 *every*
     completed attempt in II order (speculative extras included), each
-    entry a ``search_trace`` dict with an ``on_path`` marker.  ``best``
-    is the lowest feasible II on the path, or ``None``.
+    entry carrying an ``on_path`` marker.  ``best`` is the lowest
+    feasible II on the path, or ``None``.
     """
 
     best: FeasibleState | None
     path: list[AttemptResult]
-    executed: list[dict]
+    trace: list[dict]
     stats: SearchStats
 
 
 class SpeculativeSearchDriver:
-    """Races K candidate IIs of one search over an attempt runner.
+    """Runs one II search, racing K candidate IIs over an attempt runner.
 
     Args:
         machine: target configuration.
         params: algorithm parameters; ``params.make_search_policy()``
             drives both the committed path and the frontier prediction.
-        speculation: frontier width K (1 degenerates to the serial
-            search executed through the runner).
+        speculation: frontier width K (1 is the paper's serial search:
+            one attempt at a time, in search order).
         runner: attempt executor; defaults to :func:`default_runner`.
         cache: per-attempt result cache — a
             :class:`~repro.exec.cache.ResultCache`, ``True``/``False``,
@@ -966,12 +935,14 @@ class SpeculativeSearchDriver:
                     completed[result.ii] = result
                     if trace_on:
                         tokens.pop(result.ii, None)
+                        # The attempt's duration rides its merged span;
+                        # instant args stay free of timing, so traces
+                        # are deterministic modulo timestamps.
                         tracer.instant(
                             "race.verify", "race",
                             ii=result.ii,
                             kind=result.outcome.kind.value,
                             scheduled=result.outcome.scheduled,
-                            seconds=round(result.seconds, 6),
                         )
                         tracer.merge(result.trace)
                     if self.cache is not None:
@@ -990,14 +961,17 @@ class SpeculativeSearchDriver:
             if result.outcome.scheduled and result.feasible is not None:
                 if best is None or result.feasible.ii < best.ii:
                     best = result.feasible
-        on_path = {result.ii for result in path}
-        executed = [
-            dict(
-                completed[ii].outcome.as_trace_entry(),
-                on_path=ii in on_path,
-            )
-            for ii in sorted(completed)
-        ]
+        if self.speculation == 1:
+            trace = [result.outcome.as_trace_entry() for result in path]
+        else:
+            on_path = {result.ii for result in path}
+            trace = [
+                dict(
+                    completed[ii].outcome.as_trace_entry(),
+                    on_path=ii in on_path,
+                )
+                for ii in sorted(completed)
+            ]
         stats = SearchStats(
             speculation=self.speculation,
             runner=type(self.runner).__name__,
@@ -1011,9 +985,7 @@ class SpeculativeSearchDriver:
             if best is not None:
                 tracer.instant("race.commit", "race", ii=best.ii)
             stats.emit(tracer, prefix="race")
-        return SearchResult(
-            best=best, path=path, executed=executed, stats=stats
-        )
+        return SearchResult(best=best, path=path, trace=trace, stats=stats)
 
     # ------------------------------------------------------------------
 

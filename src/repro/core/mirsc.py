@@ -23,12 +23,14 @@ The driver below follows the paper's skeleton step by step::
     }
 
 The fixed-II inner loop (steps (1)-(6)) lives in
-:class:`repro.core.attempts.AttemptEngine`; this class drives the II
-search over it — serially (the paper's ladder, or any registered
-:class:`~repro.core.search.IISearchPolicy`), or speculatively racing K
-candidate IIs over a process pool
-(:class:`~repro.core.attempts.SpeculativeSearchDriver`) with
-bit-identical committed results.
+:class:`repro.core.attempts.AttemptEngine`.  The II search over it
+(the paper's ladder, or any registered
+:class:`~repro.core.search.IISearchPolicy`) always runs through
+:class:`~repro.core.attempts.SpeculativeSearchDriver`: at width K=1 it
+executes one attempt at a time in-process, at K>1 it races K candidate
+IIs over a process pool with bit-identical committed results.  The
+accepted attempt becomes a result through
+:func:`repro.core.result.converged_result`.
 
 On a single-cluster machine steps C1/C2 degenerate (the cluster is always
 0 and no moves are ever needed) and the algorithm *is* MIRS [33], the
@@ -40,27 +42,17 @@ from __future__ import annotations
 import dataclasses
 import time
 
-from repro.errors import ConvergenceError
-from repro.core.attempts import (
-    AttemptEngine,
-    FeasibleState,
-    SpeculativeSearchDriver,
-)
+from repro.errors import ConvergenceError, SchedulingError
+from repro.core.attempts import SpeculativeSearchDriver
 from repro.core.params import MirsParams, max_ii_for
-from repro.core.result import ScheduleResult
-from repro.core.search import AttemptOutcome
-from repro.core.state import SchedulerState, SchedulerStats
-from repro.core.verify import verify_schedule
+from repro.core.result import ScheduleResult, converged_result
+from repro.core.state import SchedulerStats
 from repro.graph.ddg import DependenceGraph
 from repro.graph.mii import compute_mii
 from repro.machine.config import MachineConfig
-from repro.machine.resources import OpKind
 from repro.obs import resolve_tracer
 from repro.obs.metrics import SearchStats, outcome_histogram
 from repro.order.hrms import hrms_order
-from repro.schedule.lifetimes import LifetimeAnalysis
-from repro.schedule.regalloc import allocate_registers
-from repro.errors import SchedulingError
 
 
 class MirsC:
@@ -110,7 +102,6 @@ class MirsC:
         self.verify = verify
         self.strict = strict
         self.tracer = resolve_tracer(tracer)
-        self._engine = AttemptEngine(machine, self.params, tracer=self.tracer)
 
     # ------------------------------------------------------------------
 
@@ -126,10 +117,12 @@ class MirsC:
         schedule never needs a re-run.  The full
         ``(ii, outcome)`` trace lands in ``result.stats.search_trace``.
 
-        With an effective speculation width K > 1 the same search runs
-        through the :class:`~repro.core.attempts.SpeculativeSearchDriver`
-        (K attempts raced concurrently, losers cancelled); the committed
-        result is fingerprint-identical by construction.
+        The search runs through the
+        :class:`~repro.core.attempts.SpeculativeSearchDriver` at the
+        effective speculation width K: K=1 runs one attempt at a time
+        in-process, K > 1 races K attempts concurrently (losers
+        cancelled); the committed result is fingerprint-identical by
+        construction.
         """
         tracer = self.tracer
         if not tracer.enabled:
@@ -164,106 +157,75 @@ class MirsC:
         if prepare is not None:
             tracer.end(prepare, mii=mii, limit=limit, nodes=len(pristine))
 
-        if self.params.effective_speculation() > 1:
-            return self._schedule_speculative(
-                pristine, ordering.priority, mii, limit, started
-            )
-
-        search_span = (
-            tracer.begin("phase.search", "schedule", mii=mii, limit=limit)
-            if tracer.enabled
-            else None
-        )
-        policy = self.params.make_search_policy()
-        best: SchedulerState | None = None
-        trace: list[AttemptOutcome] = []
-        attempted: set[int] = set()
-        ii = policy.first_ii(mii, limit)
-        while ii is not None and mii <= ii <= limit and ii not in attempted:
-            attempted.add(ii)
-            state, outcome = self._engine.run(
-                pristine.clone(), ii, ordering.priority
-            )
-            trace.append(outcome)
-            if state is not None and (best is None or state.ii < best.ii):
-                best = state
-            ii = policy.next_ii(outcome)
-        if search_span is not None:
-            tracer.end(
-                search_span,
-                attempts=len(trace),
-                best_ii=None if best is None else best.ii,
-            )
-
-        if best is not None:
-            # restarts counts the attempts that did not produce the
-            # accepted schedule (= failed attempts under linear search).
-            return self._finalize(
-                FeasibleState.from_state(best),
-                mii,
-                len(trace) - 1,
-                time.perf_counter() - started,
-                [o.as_trace_entry() for o in trace],
-            )
-        return self._give_up(
-            pristine, mii, limit,
-            path_iis=[o.ii for o in trace],
-            trace_entries=[o.as_trace_entry() for o in trace],
-            elapsed=time.perf_counter() - started,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _schedule_speculative(
-        self,
-        pristine: DependenceGraph,
-        priorities: dict[int, float],
-        mii: int,
-        limit: int,
-        started: float,
-    ) -> ScheduleResult:
-        tracer = self.tracer
+        speculation = self.params.effective_speculation()
         # Opened before the driver is built: spinning up the attempt
         # pool is part of the search cost, and the phases must tile the
         # schedule span (the summary gates coverage near 1.0).
         search_span = (
             tracer.begin(
                 "phase.search", "schedule",
-                mii=mii, limit=limit,
-                speculation=self.params.effective_speculation(),
+                mii=mii, limit=limit, speculation=speculation,
             )
             if tracer.enabled
             else None
         )
+        # Only the race consults the per-attempt cache: a serial search
+        # leaves no per-attempt entries on disk.
         driver = SpeculativeSearchDriver(
-            self.machine, self.params, self.params.effective_speculation(),
+            self.machine, self.params, speculation,
+            cache=None if speculation > 1 else False,
             tracer=tracer,
         )
-        found = driver.search(pristine, priorities, mii, limit)
+        found = driver.search(pristine, ordering.priority, mii, limit)
+        best = found.best
         if search_span is not None:
             tracer.end(
                 search_span,
                 attempts=len(found.path),
                 executed=found.stats.executed_attempts,
-                best_ii=None if found.best is None else found.best.ii,
+                best_ii=None if best is None else best.ii,
             )
         elapsed = time.perf_counter() - started
-        if found.best is not None:
-            return self._finalize(
-                found.best,
-                mii,
-                len(found.path) - 1,
-                elapsed,
-                found.executed,
+        if best is None:
+            return self._give_up(
+                pristine, mii, limit,
+                path_iis=[r.ii for r in found.path],
+                trace_entries=found.trace,
+                elapsed=elapsed,
                 search=found.stats,
             )
-        return self._give_up(
-            pristine, mii, limit,
-            path_iis=[r.ii for r in found.path],
-            trace_entries=found.executed,
-            elapsed=elapsed,
-            search=found.stats,
+
+        finalize_span = (
+            tracer.begin("phase.finalize", "schedule", ii=best.ii)
+            if tracer.enabled
+            else None
         )
+        stats = best.stats
+        stats.search_trace = found.trace
+        stats.search = found.stats
+        result = converged_result(
+            best.graph,
+            best.schedule,
+            self.machine,
+            mii=mii,
+            memory_traffic=best.memory_traffic,
+            stats=stats,
+            # The attempts that did not produce the accepted schedule
+            # (= failed attempts under linear search).
+            restarts=len(found.path) - 1,
+            seconds=elapsed,
+            spilled_invariants=best.spilled_invariants,
+            verify=self.verify,
+            scheduler="MIRS-C",
+        )
+        if finalize_span is not None:
+            tracer.end(
+                finalize_span,
+                registers=result.total_registers_used,
+                spills=result.spill_operations,
+                moves=result.move_operations,
+            )
+        return result
 
     def _give_up(
         self,
@@ -274,7 +236,7 @@ class MirsC:
         path_iis: list[int],
         trace_entries: list[dict],
         elapsed: float,
-        search: SearchStats | None = None,
+        search: SearchStats,
     ) -> ScheduleResult:
         """Non-convergence: raise (strict) or report (non-strict).
 
@@ -315,106 +277,6 @@ class MirsC:
             ),
             trip_count=pristine.trip_count,
         )
-
-    # ------------------------------------------------------------------
-
-    def _attempt(
-        self,
-        graph: DependenceGraph,
-        ii: int,
-        priorities: dict[int, float],
-    ) -> tuple[SchedulerState | None, AttemptOutcome]:
-        """One scheduling attempt at a fixed II (delegates to the
-        extracted :class:`~repro.core.attempts.AttemptEngine`)."""
-        return self._engine.run(graph, ii, priorities)
-
-    # ------------------------------------------------------------------
-
-    def _finalize(
-        self,
-        feasible: FeasibleState,
-        mii: int,
-        restarts: int,
-        elapsed: float,
-        trace_entries: list[dict] | None = None,
-        search: SearchStats | None = None,
-    ) -> ScheduleResult:
-        tracer = self.tracer
-        finalize_span = (
-            tracer.begin("phase.finalize", "schedule", ii=feasible.ii)
-            if tracer.enabled
-            else None
-        )
-        graph = feasible.graph
-        schedule = feasible.schedule
-        stats = feasible.stats
-        if trace_entries is not None:
-            stats.search_trace = trace_entries
-        if search is not None:
-            stats.search = search
-        # Batch role: the result is summarised with a from-scratch
-        # analysis (the live pressure tracker was already detached when
-        # the feasible state was captured).
-        analysis = LifetimeAnalysis(
-            graph, schedule, self.machine,
-            spilled_invariants=feasible.spilled_invariants,
-        )
-        allocations = allocate_registers(
-            graph, schedule, self.machine, analysis,
-            spilled_invariants=feasible.spilled_invariants,
-        )
-        times = {n: schedule.time(n) for n in schedule.scheduled_ids()}
-        clusters = {n: schedule.cluster(n) for n in schedule.scheduled_ids()}
-        register_usage = {
-            c: a.registers_used for c, a in allocations.items()
-        }
-        result = ScheduleResult(
-            loop=graph.name,
-            machine=self.machine,
-            converged=True,
-            ii=feasible.ii,
-            mii=mii,
-            times=times,
-            clusters=clusters,
-            register_usage=register_usage,
-            max_live={
-                c: analysis.max_live(c)
-                for c in range(self.machine.clusters)
-            },
-            memory_traffic=feasible.memory_traffic,
-            spill_operations=sum(
-                1 for n in graph.nodes() if n.is_spill
-            ),
-            move_operations=graph.count_kind(OpKind.MOVE),
-            stage_count=max(1, schedule.stage_count()),
-            restarts=restarts,
-            scheduling_seconds=elapsed,
-            stats=stats,
-            graph=graph,
-            trip_count=graph.trip_count,
-        )
-        if self.verify:
-            violations = verify_schedule(
-                graph,
-                self.machine,
-                feasible.ii,
-                times,
-                clusters,
-                register_usage,
-            )
-            if violations:
-                raise SchedulingError(
-                    f"MIRS-C produced an invalid schedule for {graph.name}: "
-                    + "; ".join(violations[:5])
-                )
-        if finalize_span is not None:
-            tracer.end(
-                finalize_span,
-                registers=sum(register_usage.values()),
-                spills=result.spill_operations,
-                moves=result.move_operations,
-            )
-        return result
 
 
 class Mirs(MirsC):

@@ -129,7 +129,7 @@ class ScheduleRequest:
             )
         if self.scheduler == "baseline":
             # The baseline has no attempt machinery worth tracing.
-            return NonIterativeScheduler(machine, params=params)
+            return NonIterativeScheduler(machine, params=params, verify=verify)
         if self.scheduler == "smt":
             from repro.smt.scheduler import SmtScheduler
 

@@ -5,8 +5,14 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.state import SchedulerStats
+from repro.core.verify import verify_schedule
+from repro.errors import SchedulingError
 from repro.graph.ddg import DependenceGraph
 from repro.machine.config import MachineConfig
+from repro.machine.resources import OpKind
+from repro.schedule.lifetimes import LifetimeAnalysis
+from repro.schedule.partial import PartialSchedule
+from repro.schedule.regalloc import allocate_registers
 
 
 @dataclasses.dataclass
@@ -86,4 +92,80 @@ class ScheduleResult:
             f"traffic={self.memory_traffic} moves={self.move_operations} "
             f"spills={self.spill_operations} "
             f"regs={self.register_usage}"
+        )
+
+
+def converged_result(
+    graph: DependenceGraph,
+    schedule: PartialSchedule,
+    machine: MachineConfig,
+    *,
+    mii: int,
+    memory_traffic: int,
+    stats: SchedulerStats,
+    restarts: int = 0,
+    seconds: float = 0.0,
+    spilled_invariants: set[tuple[int, int]] | frozenset = frozenset(),
+    verify: bool,
+    scheduler: str,
+) -> ScheduleResult:
+    """Summarise a finished schedule as a converged :class:`ScheduleResult`.
+
+    The one place every backend (MIRS-C, the baseline [31] and the
+    exact solver) turns a complete schedule into a result: a batch
+    :class:`LifetimeAnalysis` gives MaxLive, :func:`allocate_registers`
+    the per-cluster register usage, and the graph's spill and move
+    nodes are counted.  The caller supplies what only it knows: the
+    memory traffic, the counters, the restart count and the spilled
+    invariants.  With ``verify`` the result is checked by
+    :func:`verify_result`, whose error names ``scheduler``.
+    """
+    analysis = LifetimeAnalysis(
+        graph, schedule, machine, spilled_invariants=spilled_invariants
+    )
+    allocations = allocate_registers(
+        graph, schedule, machine, analysis,
+        spilled_invariants=spilled_invariants,
+    )
+    scheduled = schedule.scheduled_ids()
+    result = ScheduleResult(
+        loop=graph.name,
+        machine=machine,
+        converged=True,
+        ii=schedule.ii,
+        mii=mii,
+        times={n: schedule.time(n) for n in scheduled},
+        clusters={n: schedule.cluster(n) for n in scheduled},
+        register_usage={c: a.registers_used for c, a in allocations.items()},
+        max_live={c: analysis.max_live(c) for c in range(machine.clusters)},
+        memory_traffic=memory_traffic,
+        spill_operations=sum(1 for n in graph.nodes() if n.is_spill),
+        move_operations=graph.count_kind(OpKind.MOVE),
+        stage_count=max(1, schedule.stage_count()),
+        restarts=restarts,
+        scheduling_seconds=seconds,
+        stats=stats,
+        graph=graph,
+        trip_count=graph.trip_count,
+    )
+    if verify:
+        verify_result(result, scheduler)
+    return result
+
+
+def verify_result(result: ScheduleResult, scheduler: str) -> None:
+    """Raise :class:`SchedulingError` if ``result`` breaks a dependence,
+    resource or register constraint (see :func:`verify_schedule`)."""
+    violations = verify_schedule(
+        result.graph,
+        result.machine,
+        result.ii,
+        result.times,
+        result.clusters,
+        result.register_usage,
+    )
+    if violations:
+        raise SchedulingError(
+            f"{scheduler} produced an invalid schedule for {result.loop}: "
+            + "; ".join(violations[:5])
         )

@@ -29,6 +29,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.schedule.colouring import IncrementalArcColouring
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.pressure import PressureTracker
+from repro.schedule.regalloc import allocate_registers
 
 
 @dataclasses.dataclass
@@ -44,20 +45,22 @@ class SchedulerStats:
     invariant_spills: int = 0
     balance_shifts: int = 0
     nodes_scheduled: int = 0
-    #: Full II-search trace: one entry per attempt, in attempt order
-    #: (:meth:`repro.core.search.AttemptOutcome.as_trace_entry` dicts).
-    #: Diagnostic, like ``scheduling_seconds``: excluded from result
-    #: fingerprints so the default policy stays fingerprint-identical
-    #: to the pre-policy scheduler.  Under the speculative driver the
-    #: entries cover *every executed* attempt in II order (speculative
-    #: extras included), each carrying an ``on_path`` marker.
+    #: Full II-search trace
+    #: (:meth:`repro.core.search.AttemptOutcome.as_trace_entry` dicts,
+    #: format in :class:`repro.core.attempts.SearchResult`): at K=1 one
+    #: entry per attempt in search order; at K>1 *every executed*
+    #: attempt in II order (speculative extras included), each carrying
+    #: an ``on_path`` marker.  Diagnostic, like ``scheduling_seconds``:
+    #: excluded from result fingerprints so the default policy stays
+    #: fingerprint-identical to the pre-policy scheduler.
     search_trace: list[dict] = dataclasses.field(default_factory=list)
     #: Typed II-search ledger (frontier width, launched / executed /
     #: cancelled attempt counts — see
-    #: :class:`repro.core.attempts.SpeculativeSearchDriver`); ``None``
-    #: for the serial driver.  Diagnostic like ``search_trace``:
-    #: excluded from result fingerprints, so speculative and serial
-    #: runs stay fingerprint-identical.
+    #: :class:`repro.core.attempts.SpeculativeSearchDriver`).  Set on
+    #: every MIRS-C result, K=1 included; ``None`` for the baseline and
+    #: the exact backend.  Diagnostic like ``search_trace``: excluded
+    #: from result fingerprints, so every width K stays
+    #: fingerprint-identical.
     search: SearchStats | None = None
 
 
@@ -224,6 +227,39 @@ class SchedulerState:
             if edge.kind is DepKind.REG and self.schedule.is_scheduled(edge.dst):
                 result.append((edge.dst, self.schedule.cluster(edge.dst)))
         return result
+
+    def fits_registers(self) -> bool:
+        """True when the register allocation fits every cluster's file.
+
+        MaxLive is a lower bound on the allocation (the colouring never
+        beats it), so an over-budget cluster fails without running the
+        allocator; the exact colouring only arbitrates the fitting side
+        (footnote 2: MaxLive occasionally underestimates).
+        """
+        available = self.machine.cluster.registers
+        if available is None:
+            return True
+        if any(
+            live > available
+            for live in self.pressure.max_live_all().values()
+        ):
+            return False
+        if self.colouring is not None:
+            # Incremental path: per-cluster counts from the engine's
+            # caches (only clusters whose lifetimes changed recolour).
+            used = self.colouring.registers_used_all().values()
+        else:
+            used = (
+                alloc.registers_used
+                for alloc in allocate_registers(
+                    self.graph,
+                    self.schedule,
+                    self.machine,
+                    self.pressure,
+                    spilled_invariants=self.spilled_invariants,
+                ).values()
+            )
+        return all(count <= available for count in used)
 
     def memory_operation_count(self) -> int:
         """Memory operations per iteration (original + spill traffic)."""

@@ -108,7 +108,7 @@ class CodegenError(ReproError, ValueError):
 class CertificationError(ReproError):
     """Emitted code failed static certification.
 
-    Raised by the ``REPRO_STATIC_CERTIFY=1`` sanitizer hook in
+    Raised by the ``REPRO_SELFCHECK=certify`` sanitizer hook in
     :func:`repro.codegen.generate_code`; the full
     :class:`repro.analysis.CertifierReport` rides along.
 

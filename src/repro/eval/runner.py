@@ -4,25 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.params import MirsParams
 from repro.core.request import ScheduleRequest, SessionConfig
 from repro.core.result import ScheduleResult
 from repro.exec.engine import SuiteExecutor, int_env
 from repro.machine.config import MachineConfig
 from repro.workloads.perfect import SuiteLoop, cached_suite
 
-
-def with_search(params: MirsParams | None, search) -> MirsParams | None:
-    """Fold an II-search spec into a parameter set.
-
-    ``search`` is a registered policy name or an
-    :class:`~repro.core.search.IISearchPolicy` instance; ``None`` leaves
-    ``params`` untouched (including the ``params is None`` "defaults"
-    case, which the exec cache keys treat as ``MirsParams()``).
-    """
-    if search is None:
-        return params
-    return dataclasses.replace(params or MirsParams(), ii_search=search)
 
 #: Environment variable selecting the workbench subset size used by the
 #: benchmarks (the full paper-scale run uses REPRO_BENCH_LOOPS=1258).

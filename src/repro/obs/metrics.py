@@ -17,7 +17,7 @@ class SearchStats:
         speculation: frontier width K the search ran with.
         runner: class name of the attempt runner that executed it.
         serial_attempts: attempts on the serial-equivalent path (what
-            the serial driver would have executed).
+            the K=1 search would have executed).
         executed_attempts: attempts that actually completed (speculative
             extras included).
         launched: tasks submitted to the runner.

@@ -37,11 +37,11 @@ query and tears them down again if events flood in with no query in
 sight (the gauged regime never allocates), so the scheduling hot path
 pays nothing until the PriorityList drains.
 
-``REPRO_COLOUR_SELFCHECK=1`` (or the module's ``SELF_CHECK`` flag)
-cross-checks every event like the pressure tracker's self-check: each
-lifetime event validates the maintained arc sets, densities and
-dedicated counts against the tracker's entries, and each query
-additionally replays the batch oracle - a from-scratch
+``REPRO_SELFCHECK=colour`` (see :mod:`repro.selfcheck`) or the
+module's ``SELF_CHECK`` flag cross-checks every event like the pressure
+tracker's self-check: each lifetime event validates the maintained arc
+sets, densities and dedicated counts against the tracker's entries,
+and each query additionally replays the batch oracle - a from-scratch
 :class:`~repro.schedule.lifetimes.LifetimeAnalysis` fed through
 ``_colour_arcs`` - asserting identical colour counts, colour maps and
 ``registers_used``.
@@ -50,7 +50,6 @@ additionally replays the batch oracle - a from-scratch
 from __future__ import annotations
 
 import bisect
-import os
 
 import numpy as np
 
@@ -59,11 +58,12 @@ from repro.machine.config import MachineConfig
 from repro.schedule.lifetimes import LifetimeAnalysis
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.pressure import PressureTracker, fold_lifetime
+from repro.selfcheck import selfcheck_armed
 
 #: When true, every lifetime event re-validates the maintained buckets
 #: and every query replays the batch colouring oracle.  Orders of
 #: magnitude slower - test/CI-leg only.
-SELF_CHECK = bool(os.environ.get("REPRO_COLOUR_SELFCHECK"))
+SELF_CHECK = selfcheck_armed("colour")
 
 #: Events tolerated with no query before an idle engine tears its
 #: buckets down (the gauged regime places thousands of nodes between
@@ -320,7 +320,7 @@ class IncrementalArcColouring:
         return used
 
     def registers_used_all(self) -> dict[int, int]:
-        """Per-cluster allocation sizes (the ``_fits_registers`` query)."""
+        """Per-cluster allocation sizes (the ``SchedulerState.fits_registers`` query)."""
         return {
             cluster: self.registers_used(cluster)
             for cluster in range(self.machine.clusters)

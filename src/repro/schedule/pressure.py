@@ -28,17 +28,15 @@ out of the per-event *update* cost entirely (``max_live_all`` batches
 the count pass when every cluster is queried at once).
 
 The tracker's state is asserted bit-identical to a from-scratch
-:class:`LifetimeAnalysis` by :meth:`assert_matches_scratch`; setting the
-``REPRO_PRESSURE_SELFCHECK`` environment variable (or the module's
-``SELF_CHECK`` flag) runs that cross-check after *every* event, which the
-test suite uses to validate whole scheduling runs.  ``LifetimeAnalysis``
+:class:`LifetimeAnalysis` by :meth:`assert_matches_scratch`;
+``REPRO_SELFCHECK=pressure`` (see :mod:`repro.selfcheck`) or the
+module's ``SELF_CHECK`` flag runs that cross-check after *every* event,
+which the test suite uses to validate whole scheduling runs.  ``LifetimeAnalysis``
 itself keeps the batch roles: finalisation, register allocation on
 results, and this cross-check.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -52,10 +50,11 @@ from repro.schedule.lifetimes import (
     ValueLifetime,
 )
 from repro.schedule.partial import PartialSchedule
+from repro.selfcheck import selfcheck_armed
 
 #: When true, every tracker update re-runs the from-scratch cross-check
 #: (``assert_matches_scratch``).  Hundreds of times slower - test-only.
-SELF_CHECK = bool(os.environ.get("REPRO_PRESSURE_SELFCHECK"))
+SELF_CHECK = selfcheck_armed("pressure")
 
 
 def fold_lifetime(

@@ -3,10 +3,11 @@
 Runs the fixed-II decision problems of :mod:`repro.smt.problem` on an
 ascending II ladder and turns the first feasible verdict into a full
 :class:`~repro.core.result.ScheduleResult` — moves materialized into
-the graph, registers allocated, the schedule re-verified by
-:func:`repro.core.verify.verify_schedule` exactly as the heuristic's
-results are.  Every result carries an ``oracle`` dict recording the
-engine, the per-II certificate ledger and the proven lower bound:
+the graph, then registers allocated and the schedule re-verified by
+:func:`repro.core.result.converged_result`, the builder the
+heuristics' results come from too.  Every result carries an ``oracle``
+dict recording the engine, the per-II certificate ledger and the
+proven lower bound:
 
 * ``status="optimal"`` — achieved II == proven lower bound (UNSAT
   certificates at every II below, analytic MII certificate underneath);
@@ -32,18 +33,15 @@ from __future__ import annotations
 import time
 
 from repro.core.params import MirsParams, SmtParams, max_ii_for
-from repro.core.result import ScheduleResult
+from repro.core.result import ScheduleResult, converged_result, verify_result
 from repro.core.state import SchedulerStats
-from repro.core.verify import verify_schedule
 from repro.errors import ConvergenceError, SchedulingError
 from repro.graph.ddg import DepKind, DependenceGraph
 from repro.graph.mii import compute_mii
 from repro.machine.config import MachineConfig
 from repro.machine.resources import OpKind
 from repro.obs import resolve_tracer
-from repro.schedule.lifetimes import LifetimeAnalysis
 from repro.schedule.partial import PartialSchedule
-from repro.schedule.regalloc import allocate_registers
 from repro.smt import native
 from repro.smt.problem import FixedIIProblem
 
@@ -397,51 +395,29 @@ class SmtScheduler:
             times = {nid: t + shift for nid, t in times.items()}
 
         schedule = PartialSchedule.from_assignment(self.machine, ii, times, clusters)
-        analysis = LifetimeAnalysis(graph, schedule, self.machine)
-        allocations = allocate_registers(graph, schedule, self.machine, analysis)
-        register_usage = {c: a.registers_used for c, a in allocations.items()}
-        available = self.machine.cluster.registers
-        if available is not None:
-            overflow = {
-                c: used - available
-                for c, used in register_usage.items()
-                if used > available
-            }
-            if overflow:
-                return None, overflow
-
-        result = ScheduleResult(
-            loop=graph.name,
-            machine=self.machine,
-            converged=True,
-            ii=ii,
+        result = converged_result(
+            graph,
+            schedule,
+            self.machine,
             mii=ii,  # caller overwrites with the analytic MII
-            times=times,
-            clusters=clusters,
-            register_usage=register_usage,
-            max_live={
-                c: analysis.max_live(c) for c in range(self.machine.clusters)
-            },
-            memory_traffic=sum(
-                1 for n in graph.nodes() if n.kind.is_memory
-            ),
-            spill_operations=0,
-            move_operations=graph.count_kind(OpKind.MOVE),
-            stage_count=max(1, schedule.stage_count()),
+            memory_traffic=sum(1 for n in graph.nodes() if n.kind.is_memory),
             stats=SchedulerStats(
                 moves_added=graph.count_kind(OpKind.MOVE),
                 nodes_scheduled=len(times),
             ),
-            graph=graph,
-            trip_count=graph.trip_count,
+            # Verified below, once the allocation is known to fit.
+            verify=False,
+            scheduler="exact backend",
         )
+        available = self.machine.cluster.registers
+        if available is not None:
+            overflow = {
+                c: used - available
+                for c, used in result.register_usage.items()
+                if used > available
+            }
+            if overflow:
+                return None, overflow
         if self.verify:
-            violations = verify_schedule(
-                graph, self.machine, ii, times, clusters, register_usage
-            )
-            if violations:
-                raise SchedulingError(
-                    f"exact backend produced an invalid schedule for "
-                    f"{graph.name}: " + "; ".join(violations[:5])
-                )
+            verify_result(result, "exact backend")
         return result, {}

@@ -297,11 +297,20 @@ class TestCancellationAccounting:
         assert stats.cancelled >= 0
         assert result_fingerprint(speculative) == result_fingerprint(serial)
 
-    def test_serial_search_records_no_speculation_stats(self):
+    def test_serial_search_records_the_k1_ledger(self):
+        """K=1 runs the same driver in-process: one attempt per path
+        step, nothing launched off the path, nothing cancelled."""
         result = MirsC(UNIFIED, strict=False, speculation=1).schedule(
             daxpy()
         )
-        assert result.stats.search is None
+        stats = result.stats.search
+        assert stats.speculation == 1
+        assert stats.runner == "SerialAttemptRunner"
+        assert stats.launched == stats.executed_attempts
+        assert stats.executed_attempts == stats.serial_attempts
+        assert stats.serial_attempts == len(result.stats.search_trace)
+        assert stats.cancelled == 0
+        assert all("on_path" not in e for e in result.stats.search_trace)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Unit tests for the non-iterative baseline scheduler [31]."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro import LoopBuilder, MirsC, NonIterativeScheduler, parse_config, verify_schedule
+from repro.exec import result_fingerprint
+from repro.workloads.perfect import cached_suite
 
 from tests.helpers import FOUR_CLUSTER, UNIFIED, daxpy, reduction, wide
 
@@ -96,3 +101,35 @@ class TestHeadToHead:
             assert ours.converged
             if base.converged:
                 assert ours.ii <= base.ii
+
+
+class TestBaselineFingerprints:
+    """The baseline's results on the 16-loop workbench, pinned.
+
+    ``tests/data/baseline_fingerprints.json`` holds
+    :func:`~repro.exec.result_fingerprint` of every loop on both
+    reference machines, captured before the baseline shared MIRS-C's
+    result builder and register-fit check.
+    """
+
+    EXPECTED = json.loads(
+        (
+            pathlib.Path(__file__).parent / "data" / "baseline_fingerprints.json"
+        ).read_text()
+    )
+
+    @pytest.mark.parametrize("config", sorted(EXPECTED))
+    def test_workbench_fingerprints_match_capture(self, config):
+        expected = self.EXPECTED[config]
+        machine = parse_config(config)
+        results = {
+            loop.graph.name: NonIterativeScheduler(machine).schedule(loop.graph)
+            for loop in cached_suite(16)
+        }
+        assert set(results) == set(expected)
+        mismatched = [
+            name
+            for name, result in results.items()
+            if result_fingerprint(result) != expected[name]
+        ]
+        assert mismatched == []

@@ -22,9 +22,10 @@ from repro import MirsC, certify_code, certify_schedule
 from repro.analysis import BundleCFG, CertifierReport, ViolationKind
 from repro.analysis.cfg import register_cluster, split_sources
 from repro.codegen import generate_code
-from repro.codegen.emitter import CERTIFY_ENV, GeneratedCode
+from repro.codegen.emitter import GeneratedCode
 from repro.errors import CertificationError, CodegenError
 from repro.obs import RecordingTracer
+from repro.selfcheck import SELFCHECK_ENV
 from repro.workloads.perfect import cached_suite
 
 from tests.helpers import FOUR_CLUSTER_TIGHT, UNIFIED, daxpy, reduction
@@ -380,13 +381,13 @@ class TestSabotage:
 
 
 # ----------------------------------------------------------------------
-# The REPRO_STATIC_CERTIFY sanitizer hook
+# The REPRO_SELFCHECK=certify sanitizer hook
 # ----------------------------------------------------------------------
 
 
 class TestSanitizerHook:
     def test_clean_code_passes_under_hook(self, monkeypatch):
-        monkeypatch.setenv(CERTIFY_ENV, "1")
+        monkeypatch.setenv(SELFCHECK_ENV, "certify")
         result = MirsC(UNIFIED).schedule(daxpy())
         code = generate_code(result)
         assert code.kernel  # emitted and certified without raising
@@ -410,7 +411,7 @@ class TestSanitizerHook:
                 ),
             )
 
-        monkeypatch.setenv(CERTIFY_ENV, "1")
+        monkeypatch.setenv(SELFCHECK_ENV, "certify")
         monkeypatch.setattr("repro.analysis.certify_code", reject)
         with pytest.raises(CertificationError) as excinfo:
             generate_code(result)
@@ -419,7 +420,7 @@ class TestSanitizerHook:
         assert "injected by test" in str(excinfo.value)
 
     def test_hook_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(CERTIFY_ENV, raising=False)
+        monkeypatch.delenv(SELFCHECK_ENV, raising=False)
         calls = []
         monkeypatch.setattr(
             "repro.analysis.certify_code",
@@ -427,6 +428,17 @@ class TestSanitizerHook:
         )
         result = MirsC(UNIFIED).schedule(reduction())
         generate_code(result)
+        assert calls == []
+
+    def test_other_checks_leave_the_hook_off(self, monkeypatch):
+        """Only ``certify`` in REPRO_SELFCHECK arms the hook."""
+        monkeypatch.setenv(SELFCHECK_ENV, "pressure,colour")
+        calls = []
+        monkeypatch.setattr(
+            "repro.analysis.certify_code",
+            lambda *a, **k: calls.append(a),
+        )
+        generate_code(MirsC(UNIFIED).schedule(reduction()))
         assert calls == []
 
 

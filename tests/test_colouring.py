@@ -21,11 +21,13 @@ from hypothesis import strategies as st
 
 from repro.core.mirsc import MirsC
 from repro.core.params import MirsParams
-from repro.errors import SchedulingError
+from repro.errors import ConfigError, SchedulingError
 from repro.schedule import colouring as colouring_module
+from repro.schedule import pressure as pressure_module
 from repro.schedule.colouring import IncrementalArcColouring, arc_mask
 from repro.schedule.lifetimes import LifetimeAnalysis
 from repro.schedule.regalloc import _colour_arcs, allocate_registers
+from repro.selfcheck import SELFCHECK_ENV, selfcheck_armed
 from repro.spill.heuristics import check_and_insert_spill
 from repro.workloads.perfect import cached_suite
 
@@ -300,8 +302,16 @@ class TestEngineLifecycle:
 
 
 def test_self_check_env_flag(monkeypatch):
-    """REPRO_COLOUR_SELFCHECK wires the module flag like the pressure
+    """REPRO_SELFCHECK=colour wires the module flag like the pressure
     tracker's, and a self-checking engine builds eagerly."""
+    assert colouring_module.SELF_CHECK == selfcheck_armed("colour")
+    assert pressure_module.SELF_CHECK == selfcheck_armed("pressure")
+    monkeypatch.setenv(SELFCHECK_ENV, " colour , pressure")
+    assert selfcheck_armed("colour") and selfcheck_armed("pressure")
+    assert not selfcheck_armed("certify")
+    monkeypatch.setenv(SELFCHECK_ENV, "color")
+    with pytest.raises(ConfigError, match="color"):
+        selfcheck_armed("colour")
     monkeypatch.setattr(colouring_module, "SELF_CHECK", True)
     state = fresh_state(8, UNIFIED_SMALL)
     assert state.colouring.self_check

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro import LoopBuilder, MirsC, verify_schedule
+from repro import LoopBuilder, MirsC, OpKind, parse_config, verify_schedule
+from repro.core.request import ScheduleRequest
+from repro.workloads.perfect import cached_suite
 
-from tests.helpers import TWO_CLUSTER, UNIFIED, daxpy
+from tests.helpers import TWO_CLUSTER, UNIFIED, daxpy, wide
 
 
 @pytest.fixture
@@ -133,3 +135,63 @@ class TestInstanceAssignment:
             graph, self._div_machine(), 34, times, clusters
         )
         assert any("resource conflict" in v for v in violations)
+
+
+# ----------------------------------------------------------------------
+# Every backend's converged results come from one builder
+# ----------------------------------------------------------------------
+
+SCHEDULERS = ("mirsc", "baseline", "smt")
+
+
+def _workbench_loop(name):
+    return next(
+        loop.graph for loop in cached_suite(16) if loop.graph.name == name
+    )
+
+
+BUILDER_LOOPS = {
+    "daxpy": daxpy,
+    "wide": lambda: wide(8),
+    # Spills and moves on the 16-register two-cluster machine (MIRS-C);
+    # past the exact backend's step budget, so the heuristics only.
+    "stencil864@x2": lambda: _workbench_loop("stencil864@x2"),
+}
+
+
+class TestConvergedResult:
+    @pytest.mark.parametrize(
+        "scheduler, loop",
+        [(s, loop) for s in SCHEDULERS for loop in ("daxpy", "wide")]
+        + [(s, "stencil864@x2") for s in ("mirsc", "baseline")],
+    )
+    def test_builder_invariants(self, scheduler, loop):
+        machine = parse_config("2-(GP4M2-REG16)")
+        result = ScheduleRequest(scheduler=scheduler).make_scheduler(
+            machine
+        ).schedule(BUILDER_LOOPS[loop]())
+        assert result.converged
+        nodes = list(result.graph.nodes())
+        assert result.spill_operations == sum(1 for n in nodes if n.is_spill)
+        assert result.move_operations == sum(
+            1 for n in nodes if n.kind is OpKind.MOVE
+        )
+        assert result.memory_traffic == sum(
+            1 for n in nodes if n.kind.is_memory
+        )
+        for cluster, live in result.max_live.items():
+            assert live <= result.register_usage[cluster]
+        assert verify_schedule(
+            result.graph,
+            machine,
+            result.ii,
+            result.times,
+            result.clusters,
+            result.register_usage,
+        ) == []
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_make_scheduler_forwards_verify(self, scheduler):
+        request = ScheduleRequest(scheduler=scheduler)
+        assert request.make_scheduler(UNIFIED, verify=False).verify is False
+        assert request.make_scheduler(UNIFIED).verify is True
