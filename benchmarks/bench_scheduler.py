@@ -88,7 +88,7 @@ import time
 
 from conftest import RESULTS_DIR, loops_for
 
-from repro import LoopBuilder, ScheduleRequest, SessionConfig
+from repro import LoopBuilder, MirsParams, ScheduleRequest, SessionConfig
 from repro.core.mirsc import MirsC
 from repro.obs import NULL_TRACER, RecordingTracer, Tracer
 from repro.eval.reporting import render_table
@@ -153,14 +153,13 @@ def measure_calibration(rounds: int = 5) -> float:
     return best
 
 
-def _run_suite(machine_name: str, loops, search: str | None = None) -> dict:
+def _run_suite(machine_name: str, loops, search: str = "linear") -> dict:
     """One timed, cache-free, sequential schedule_suite run."""
     machine = parse_config(machine_name)
     session = SessionConfig(jobs=1, cache=False)
+    request = ScheduleRequest(params=MirsParams(ii_search=search))
     started = time.perf_counter()
-    run = schedule_suite(
-        machine, loops, ScheduleRequest(search=search), session=session
-    )
+    run = schedule_suite(machine, loops, request, session=session)
     wall = time.perf_counter() - started
     placements = sum(r.stats.nodes_scheduled for r in run.results)
     return {
@@ -339,7 +338,7 @@ def _measure_allocator(stress_loops) -> dict:
         schedule_suite(
             parse_config(STRESS_MACHINE),
             stress_loops,
-            ScheduleRequest(search="geometric"),
+            ScheduleRequest(params=MirsParams(ii_search="geometric")),
             session=session,
         )
         schedule_suite(

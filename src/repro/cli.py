@@ -53,6 +53,7 @@ import sys
 
 from repro import (
     LoopBuilder,
+    MirsParams,
     generate_code,
     parse_config,
 )
@@ -132,8 +133,9 @@ def _request_from(args: argparse.Namespace) -> ScheduleRequest:
         trace = RecordingTracer()
     return ScheduleRequest(
         scheduler=getattr(args, "scheduler", "mirsc"),
-        search=args.ii_search,
-        speculation=args.speculation,
+        params=MirsParams(
+            ii_search=args.ii_search, speculation=args.speculation
+        ),
         trace=trace,
     )
 

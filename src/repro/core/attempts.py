@@ -193,6 +193,16 @@ def run_attempt(task: AttemptTask) -> AttemptResult:
 # ----------------------------------------------------------------------
 
 
+def final_round_cap_for(clusters: int, node_count: int) -> int:
+    """Drained-regime spill/allocate round cap for one attempt.
+
+    Grows with the loop: each round spills or ejects one section, so a
+    flat ``3 * clusters + 8`` starved 300-node loops still making
+    progress (the stress2 non-convergence).
+    """
+    return 3 * clusters + 8 + node_count // 8
+
+
 class AttemptEngine:
     """Runs one scheduling attempt at a fixed II (Figure 4's inner loop)."""
 
@@ -258,10 +268,9 @@ class AttemptEngine:
         self, state: SchedulerState
     ) -> tuple[SchedulerState | None, AttemptOutcome]:
         final_rounds = 0
-        max_final_rounds = self.params.final_round_cap_for(
+        max_final_rounds = final_round_cap_for(
             self.machine.clusters, len(state.graph)
         )
-        placements_since_check = 0
 
         while True:
             if state.pl.empty():
@@ -334,18 +343,13 @@ class AttemptEngine:
             # Step (3): schedule U itself.
             schedule_node(state, node, cluster)
 
-            # Steps (4)+(5): register pressure check (gauged regime).
-            placements_since_check += 1
-            if (
-                placements_since_check >= self.params.spill_check_interval
-                or state.pl.empty()
-            ):
-                placements_since_check = 0
-                self._checked_spill(state, final=False)
-                if self._churned_out(state, max_final_rounds):
-                    return None, self._outcome(
-                        state, OutcomeKind.ROUND_CAP, final_rounds
-                    )
+            # Steps (4)+(5): register pressure check (gauged regime),
+            # after every placement as in the paper.
+            self._checked_spill(state, final=False)
+            if self._churned_out(state, max_final_rounds):
+                return None, self._outcome(
+                    state, OutcomeKind.ROUND_CAP, final_rounds
+                )
             state.budget -= 1
 
     # ------------------------------------------------------------------
@@ -385,7 +389,7 @@ class AttemptEngine:
     def _checked_spill(self, state: SchedulerState, *, final: bool) -> bool:
         """Run the spill check, tracking eject-only churn when bounded.
 
-        With ``bound_eject_churn`` off (the paper-exact default) this is
+        With churn unbounded (the paper-exact linear search) this is
         exactly ``check_and_insert_spill``.  With it on, consecutive
         checks whose only action was a critical-row ejection are
         counted: an eject-and-replace cycle makes no measurable

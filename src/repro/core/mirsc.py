@@ -248,8 +248,13 @@ class MirsC:
         failure mode is visible without re-running under a tracer.
         """
         if self.strict:
-            last_ii = path_iis[-1] if path_iis else mii
-            highest_ii = max(path_iis, default=mii)
+            if not path_iis:  # a cap below MII runs no attempt
+                raise ConvergenceError(
+                    f"MIRS-C failed to schedule {pristine.name}: the II "
+                    f"cap {limit} is below MII={mii}, so no II was tried"
+                )
+            last_ii = path_iis[-1]
+            highest_ii = max(path_iis)
             histogram = outcome_histogram(trace_entries)
             detail = ", ".join(
                 f"{kind}={count}" for kind, count in histogram.items()

@@ -56,23 +56,12 @@ class SmtParams:
     #: The default admits the whole 16-loop workbench (22-93 nodes);
     #: the step budget, not the node count, is the real work bound.
     max_nodes: int = 96
-    #: Machines with more clusters than this are skipped: the cluster
-    #: assignment space grows as ``K**nodes``.
-    max_clusters: int = 2
     #: Deterministic work bound per fixed-II decision problem, counted
     #: in solver steps (decisions + propagations for the native engine,
     #: a solver-reported budget for z3) — never wall-clock, so cached
     #: verdicts are reproducible.  Exhaustion yields an ``"unknown"``
     #: verdict, not an error.
     step_budget: int = 2_000_000
-    #: Extra kernel stages of schedule-length headroom beyond the
-    #: critical-path bound.  Every UNSAT certificate records the horizon
-    #: it was proven under; raising this widens the claim (and the
-    #: search space).
-    horizon_stages: int = 2
-    #: Enforce the MaxLive-style per-cluster register bound.  Off turns
-    #: the backend into a pure resource/dependence feasibility oracle.
-    register_bound: bool = True
 
     def __post_init__(self) -> None:
         if self.engine not in ("auto", "native", "z3"):
@@ -80,12 +69,10 @@ class SmtParams:
                 f"unknown smt engine {self.engine!r} "
                 "(expected 'auto', 'native' or 'z3')"
             )
-        if self.max_nodes < 1 or self.max_clusters < 1:
-            raise ConfigError("smt size gates must be at least 1")
+        if self.max_nodes < 1:
+            raise ConfigError("smt size gate must be at least 1")
         if self.step_budget < 1:
             raise ConfigError("smt step budget must be at least 1")
-        if self.horizon_stages < 0:
-            raise ConfigError("smt horizon stages must be non-negative")
 
     def effective_engine(self) -> str:
         """Resolve ``"auto"`` against the environment (z3 if installed)."""
@@ -116,17 +103,9 @@ class MirsParams:
     spill_gauge: float = 2.0
     min_span_gauge: int = 4
     distance_gauge: int = 4
-    #: Placements between register-pressure checks while the PriorityList
-    #: is non-empty.  1 reproduces the paper exactly (a check after every
-    #: node); the drained-list checks are always exact regardless.
-    spill_check_interval: int = 1
     #: Hard cap on the II explored before declaring non-convergence; when
     #: ``None`` a cap is derived from the loop (see :func:`max_ii_for`).
     max_ii: int | None = None
-    #: Safety valve on consecutive ejections while forcing a single node.
-    max_force_evictions: int = 64
-    #: Moves examined per register-pressure balancing attempt (Sec 3.3.3).
-    balance_candidates: int = 4
     #: Single-victim ejection (the paper's policy) vs ejecting every
     #: conflicting node (the policy of [6, 16, 28]); the ablation bench
     #: flips this.
@@ -135,20 +114,9 @@ class MirsParams:
     #: ``"geometric"``) or an
     #: :class:`~repro.core.search.IISearchPolicy` instance.  Part of the
     #: scheduling problem's identity: it participates in
-    #: :meth:`canonical` and therefore in the ``exec`` cache keys.
+    #: :meth:`canonical` and therefore in the ``exec`` cache keys.  It
+    #: also sets :meth:`effective_bound_eject_churn`.
     ii_search: object = "linear"
-    #: Cap on drained-regime spill/allocate rounds per attempt; ``None``
-    #: derives ``3 * clusters + 8 + nodes // 8`` (see
-    #: :meth:`final_round_cap_for`) so very large loops get
-    #: proportionally more rounds before the attempt is abandoned.
-    final_round_cap: int | None = None
-    #: Bound consecutive eject-only spill-check rounds by the round cap
-    #: (ending the attempt with the ``ROUND_CAP`` outcome) instead of
-    #: letting the eject-and-replace cycle drain the restart budget.
-    #: ``None`` defers to the search policy (the paper-exact
-    #: ``LinearSearch`` leaves it off; the jumping policies turn it on —
-    #: see :mod:`repro.core.search`).
-    bound_eject_churn: bool | None = None
     #: Speculative II-search width: how many candidate IIs the driver
     #: races concurrently (see :mod:`repro.core.attempts`).  ``1`` is
     #: the serial search; ``None`` defers to the ``REPRO_SPECULATION``
@@ -163,12 +131,11 @@ class MirsParams:
     #: way).  Off runs the historical per-call batch allocation; kept as
     #: the oracle for the differential tests and benchmarks.
     incremental_colouring: bool = True
-    #: Exact-backend parameters (``scheduler="smt"``); ``None`` means
-    #: :class:`SmtParams` defaults.  Ignored by the heuristic schedulers
-    #: and stripped from per-attempt cache keys, but part of
-    #: :meth:`canonical` so exec cache keys distinguish oracle
-    #: configurations.
-    smt: SmtParams | None = None
+    #: Exact-backend parameters (``scheduler="smt"``).  Ignored by the
+    #: heuristic schedulers and stripped from per-attempt cache keys,
+    #: but part of :meth:`canonical` so exec cache keys distinguish
+    #: oracle configurations.
+    smt: SmtParams = SmtParams()
 
     def __post_init__(self) -> None:
         if self.budget_ratio < 1:
@@ -177,11 +144,9 @@ class MirsParams:
             raise ConfigError("spill gauge must be >= 1 (Section 3.2.3)")
         if self.min_span_gauge < 0 or self.distance_gauge < 0:
             raise ConfigError("gauges must be non-negative")
-        if self.final_round_cap is not None and self.final_round_cap < 1:
-            raise ConfigError("final round cap must be at least 1")
         if self.speculation is not None and self.speculation < 1:
             raise ConfigError("speculation width must be at least 1")
-        if self.smt is not None and not isinstance(self.smt, SmtParams):
+        if not isinstance(self.smt, SmtParams):
             raise ConfigError(
                 f"smt must be an SmtParams (got {type(self.smt).__name__})"
             )
@@ -192,9 +157,9 @@ class MirsParams:
         return make_policy(self.ii_search)
 
     def effective_bound_eject_churn(self) -> bool:
-        """Resolve the churn bound against the search policy's default."""
-        if self.bound_eject_churn is not None:
-            return self.bound_eject_churn
+        """Whether attempts end eject-only churn at the round cap: the
+        search policy's ``bound_eject_churn`` class attribute (off for
+        the paper-exact ``LinearSearch``, see :mod:`repro.core.search`)."""
         return bool(
             getattr(make_policy(self.ii_search), "bound_eject_churn", False)
         )
@@ -221,43 +186,21 @@ class MirsParams:
             )
             return 1
 
-    def final_round_cap_for(self, clusters: int, node_count: int) -> int:
-        """Drained-regime round cap for one attempt.
-
-        The historical constant ``3 * clusters + 8`` starved very large
-        loops: each round spills or ejects a single section, so a
-        300-node loop whose MaxLive sits far above AR runs out of
-        rounds while still making progress (ROADMAP's stress2
-        non-convergence).  The derived cap grows with the loop size;
-        setting :attr:`final_round_cap` pins it explicitly.
-        """
-        if self.final_round_cap is not None:
-            return self.final_round_cap
-        return 3 * clusters + 8 + node_count // 8
-
     def canonical(self) -> dict:
         """A stable, JSON-serializable form (cache keys, reports).
 
-        Every field is a plain scalar except the search policy, which
-        contributes its own :meth:`~repro.core.search.IISearchPolicy.canonical`
-        form; new non-scalar fields must make an explicit encoding
+        Every field is a plain scalar except the search policy and
+        :class:`SmtParams`, which contribute their own ``canonical()``
+        forms; new non-scalar fields must make an explicit encoding
         decision here rather than silently breaking cache keys.
         """
         payload = dataclasses.asdict(self)
         payload["ii_search"] = canonical_search(self.ii_search)
-        # The resolved value is the semantic one: leaving the tri-state
-        # None in the key would alias "policy default" with whichever
-        # explicit setting happens to match it.
-        payload["bound_eject_churn"] = self.effective_bound_eject_churn()
         payload["speculation"] = self.effective_speculation()
         # The exact backend's sub-params resolve their own tri-state
         # (engine "auto" → the engine that will actually run).
-        payload["smt"] = self.effective_smt().canonical()
+        payload["smt"] = self.smt.canonical()
         return payload
-
-    def effective_smt(self) -> SmtParams:
-        """The exact-backend parameter set (field, or defaults)."""
-        return self.smt if self.smt is not None else SmtParams()
 
 
 def max_ii_for(mii: int, node_count: int, params: MirsParams) -> int:

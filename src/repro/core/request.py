@@ -1,28 +1,18 @@
 """One resolution path for *what* to schedule and *how* to execute it.
 
-Historically every entry point grew its own keyword sprawl: the CLI,
-:func:`repro.eval.runner.schedule_suite`, the seven experiment drivers
-and :func:`repro.exec.engine.make_engine` each accepted some subset of
-``scheduler=``, ``params=``, ``search=``, ``jobs=``, ``cache=`` and
-``executor=``, folding them together in slightly different orders.  The
-speculative II search (``speculation=``) would have been the seventh
-such kwarg on every signature.
-
-Two small dataclasses replace the sprawl:
+The CLI, :func:`repro.eval.runner.schedule_suite`, the experiment
+drivers and :func:`repro.exec.engine.make_engine` all take the same two
+small dataclasses:
 
 * :class:`ScheduleRequest` — the *scheduling problem* side: which
-  scheduler, with which parameters, searching IIs how and how wide.
-  ``resolved_params()`` folds ``search``/``speculation`` into a single
-  :class:`~repro.core.params.MirsParams`, so cache keys, worker
-  processes and the CLI all agree on one canonical parameter set.
+  scheduler, with which :class:`~repro.core.params.MirsParams` (the
+  II-search policy and the speculation width included), so cache keys,
+  worker processes and the CLI all agree on one parameter set.
 * :class:`SessionConfig` — the *execution session* side: worker count,
   result cache and progress callback, or a pre-built
   :class:`~repro.exec.engine.SuiteExecutor`.  ``make_executor()`` is
   memoized, so one session threaded through many driver calls keeps a
   single executor whose stats accumulate.
-
-The old keywords are gone; passing one raises Python's own
-:class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -35,26 +25,17 @@ from repro.errors import ConfigError
 
 @dataclasses.dataclass(frozen=True)
 class ScheduleRequest:
-    """What to schedule: scheduler, parameters, II search, speculation.
-
-    ``search`` and ``speculation`` are conveniences layered over
-    ``params`` (they fold into ``ii_search``/``speculation`` fields via
-    :meth:`resolved_params`); specifying a field both ways is a
-    :class:`~repro.errors.ConfigError` rather than a silent override.
-    """
+    """What to schedule: the scheduler and its parameters
+    (``params=None`` means :class:`~repro.core.params.MirsParams`
+    defaults)."""
 
     scheduler: str = "mirsc"
     params: MirsParams | None = None
-    #: II-search policy (registered name or policy instance); folded
-    #: into ``params.ii_search`` by :meth:`resolved_params`.
-    search: object | None = None
-    #: Speculative II-search width K; folded into ``params.speculation``.
-    speculation: int | None = None
     #: Structured-trace sink (see :func:`repro.obs.resolve_tracer`):
     #: a :class:`~repro.obs.Tracer`, ``True`` (process-global tracer),
     #: ``False`` (off) or ``None`` (follow ``REPRO_TRACE``).  Purely
-    #: diagnostic: excluded from ``resolved_params()`` and therefore
-    #: from every cache key, and never pickled to worker processes
+    #: diagnostic: not part of ``params`` and therefore of no cache
+    #: key, and never pickled to worker processes
     #: (the executor ships a plain ``True``/``False`` instead).
     trace: object = None
 
@@ -80,39 +61,6 @@ class ScheduleRequest:
             "(expected None, a scheduler name, MirsParams or a request)"
         )
 
-    def resolved_params(self) -> MirsParams | None:
-        """Fold ``search``/``speculation`` into one parameter set.
-
-        Returns ``None`` when nothing was specified, preserving the
-        ``params is None`` ≡ ``MirsParams()`` convention of the cache
-        keys.
-        """
-        params = self.params
-        if self.search is not None:
-            existing = params is not None and params.ii_search != "linear"
-            if existing and params.ii_search != self.search:
-                raise ConfigError(
-                    "ScheduleRequest: ii_search given both in params "
-                    "and as search="
-                )
-            params = dataclasses.replace(
-                params or MirsParams(), ii_search=self.search
-            )
-        if self.speculation is not None:
-            if (
-                params is not None
-                and params.speculation is not None
-                and params.speculation != self.speculation
-            ):
-                raise ConfigError(
-                    "ScheduleRequest: speculation given both in params "
-                    "and as speculation="
-                )
-            params = dataclasses.replace(
-                params or MirsParams(), speculation=self.speculation
-            )
-        return params
-
     def make_scheduler(self, machine, *, verify: bool = True, strict: bool = True):
         """Instantiate the requested scheduler for one machine."""
         # Imported lazily: worker processes import this module before
@@ -121,20 +69,21 @@ class ScheduleRequest:
         from repro.baseline.noniterative import NonIterativeScheduler
         from repro.core.mirsc import MirsC
 
-        params = self.resolved_params()
         if self.scheduler == "mirsc":
             return MirsC(
-                machine, params=params, verify=verify, strict=strict,
+                machine, params=self.params, verify=verify, strict=strict,
                 tracer=self.trace,
             )
         if self.scheduler == "baseline":
             # The baseline has no attempt machinery worth tracing.
-            return NonIterativeScheduler(machine, params=params, verify=verify)
+            return NonIterativeScheduler(
+                machine, params=self.params, verify=verify
+            )
         if self.scheduler == "smt":
             from repro.smt.scheduler import SmtScheduler
 
             return SmtScheduler(
-                machine, params=params, verify=verify, strict=strict,
+                machine, params=self.params, verify=verify, strict=strict,
                 tracer=self.trace,
             )
         raise ValueError(f"unknown scheduler {self.scheduler!r}")

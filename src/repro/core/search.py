@@ -56,7 +56,7 @@ class OutcomeKind(enum.Enum):
       left to take;
     * ``ROUND_CAP`` — the drained-regime spill/allocate loop was still
       making progress when it hit the final-round cap
-      (:meth:`repro.core.params.MirsParams.final_round_cap_for`) — the
+      (:func:`repro.core.attempts.final_round_cap_for`) — the
       register-infeasible verdict for attempts that thrash rather than
       settle.
     """
@@ -239,7 +239,7 @@ class GeometricPressureSearch:
     #: Jump policies probe sparse IIs, so an attempt must fail *because
     #: the II is too small*, not because the eject-and-replace cycle
     #: outlasted the budget: churn is bounded by the round cap (see
-    #: ``MirsParams.bound_eject_churn``), which both speeds failing
+    #: ``MirsParams.effective_bound_eject_churn``), which both speeds failing
     #: attempts up ~6x and makes the failure kind (and its pressure
     #: deficit) a usable gradient.  Measured on the workbench and the
     #: stress seeds, the bound changes no attempt verdict — only how

@@ -115,7 +115,8 @@ class SchedulerState:
         # the only way the count grows (moves are not memory operations).
         self._mem_ops = sum(1 for n in graph.nodes() if n.kind.is_memory)
         #: Consecutive eject-only spill-check rounds (maintained by the
-        #: driver when ``MirsParams.bound_eject_churn`` resolves on).
+        #: driver when the search policy bounds eject-only churn, see
+        #: ``MirsParams.effective_bound_eject_churn``).
         self.eject_churn_run = 0
 
     # ------------------------------------------------------------------

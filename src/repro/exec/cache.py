@@ -71,6 +71,9 @@ class ResultCache:
 
         A corrupt or truncated entry (killed writer, disk trouble) is
         treated as a miss and removed so it is rewritten cleanly.
+        Unpickling garbage can raise almost anything (``ValueError``,
+        ``UnicodeDecodeError``, ``ModuleNotFoundError``, ``TypeError``,
+        ``MemoryError``...), so every ``Exception`` counts as corrupt.
         """
         path = self._path(key)
         try:
@@ -78,7 +81,7 @@ class ResultCache:
                 return pickle.load(handle)
         except FileNotFoundError:
             return None
-        except (pickle.UnpicklingError, EOFError, AttributeError, OSError):
+        except Exception:
             try:
                 path.unlink()
             except OSError:

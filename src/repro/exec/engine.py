@@ -231,7 +231,6 @@ class SuiteExecutor:
         """
         request = ScheduleRequest.coerce(request)
         scheduler_name = request.scheduler
-        resolved = request.resolved_params()
         tracer = resolve_tracer(request.trace)
         started = time.perf_counter()
         work: list[DependenceGraph] = []
@@ -258,7 +257,7 @@ class SuiteExecutor:
         if self.cache is not None:
             for position, graph in enumerate(work):
                 keys[position] = cache_key(
-                    graph, machine, resolved, scheduler_name
+                    graph, machine, request.params, scheduler_name
                 )
                 cached = self.cache.get(keys[position])
                 if cached is not None:

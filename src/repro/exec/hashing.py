@@ -137,18 +137,20 @@ def attempt_cache_key(task) -> str:
     An attempt's behaviour is independent of the II-*search* policy and
     of the speculation width (both only decide *which* IIs get
     attempted), so those are stripped from the canonical parameter
-    payload — a geometric search at K=4 and the serial linear ladder
-    share cache entries for every II they both probe.  Everything the
-    attempt loop does consume stays: the resolved ``bound_eject_churn``
-    (policy-derived, and it changes attempt verdicts' timing), the
-    gauges, the budget, the machine, the graph content hash and the
-    HRMS priorities.
+    payload — the same policy at K=4 and at K=1 shares cache entries
+    for every II both probe.  Everything the attempt loop does consume
+    stays: the gauges, the budget, the machine, the graph content hash,
+    the HRMS priorities, and the one thing the policy decides inside an
+    attempt, :meth:`~repro.core.params.MirsParams.effective_bound_eject_churn`
+    (so linear and geometric attempts, which behave differently, never
+    share an entry).
     """
     params = task.params.canonical()
     params.pop("ii_search", None)
     params.pop("speculation", None)
     # The exact backend's knobs never reach the heuristic attempt loop.
     params.pop("smt", None)
+    params["bound_eject_churn"] = task.params.effective_bound_eject_churn()
     return stable_hash(
         {
             "version": CACHE_FORMAT_VERSION,

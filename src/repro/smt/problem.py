@@ -64,6 +64,12 @@ from repro.machine.config import MachineConfig
 from repro.machine.reservation import ReservationResolver
 from repro.machine.resources import OpKind, ResourceClass
 
+#: Extra kernel stages of schedule-length headroom beyond the
+#: critical-path bound.  Every UNSAT certificate records the horizon it
+#: was proven under; raising this widens the claim (and the search
+#: space).
+HORIZON_STAGES = 2
+
 
 @dataclasses.dataclass(frozen=True)
 class MoveSlot:
@@ -99,7 +105,6 @@ class FixedIIProblem:
         machine: MachineConfig,
         ii: int,
         *,
-        horizon_stages: int = 2,
         register_caps: dict[int, int] | None = None,
     ):
         if ii < 1:
@@ -159,7 +164,6 @@ class FixedIIProblem:
                     self.slots.append(slot)
                     self.slot_of[(producer, cluster)] = slot
                     var += 1
-        self.horizon_stages = horizon_stages
         self.horizon = self._compute_horizon()
         #: Per-cluster register caps (``None`` = unbounded).  Callers
         #: tighten individual clusters when the allocator's arc
@@ -184,7 +188,7 @@ class FixedIIProblem:
         losing schedules of that span.  The span allowance is the
         longest zero-distance dependence path (with a move-latency
         surcharge per hop on clustered machines) plus
-        ``horizon_stages`` extra kernel stages of headroom.
+        :data:`HORIZON_STAGES` extra kernel stages of headroom.
         """
         surcharge = self.machine.move_latency if self.machine.clusters > 1 else 0
         # Longest path over the intra-iteration (distance 0) DAG.
@@ -198,7 +202,7 @@ class FixedIIProblem:
                 if reach > longest.get(edge.dst, 0):
                     longest[edge.dst] = reach
         span = max(longest.values(), default=1)
-        stages = -(-span // self.ii) + self.horizon_stages
+        stages = -(-span // self.ii) + HORIZON_STAGES
         return self.ii * (stages + 1)
 
     def _zero_distance_topo(self) -> list[int]:

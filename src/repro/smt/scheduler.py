@@ -16,7 +16,7 @@ proven lower bound:
 * ``status="unsolved"`` — the ladder hit an ``unknown`` verdict before
   any feasible point;
 * ``status="skipped"`` — the loop or machine is outside the backend's
-  size gates (``SmtParams.max_nodes`` / ``max_clusters``) or the graph
+  size gates (``SmtParams.max_nodes`` / :data:`MAX_CLUSTERS`) or the graph
   is not pristine.
 
 The register bound is MaxLive per cluster; the allocator's arc
@@ -43,10 +43,13 @@ from repro.machine.resources import OpKind
 from repro.obs import resolve_tracer
 from repro.schedule.partial import PartialSchedule
 from repro.smt import native
-from repro.smt.problem import FixedIIProblem
+from repro.smt.problem import HORIZON_STAGES, FixedIIProblem
 
 #: Refinement attempts per II when arc colouring exceeds MaxLive.
 _COLOURING_RETRIES = 4
+#: Machines with more clusters than this are skipped: the cluster
+#: assignment space grows as ``K**nodes``.
+MAX_CLUSTERS = 2
 
 
 class SmtScheduler:
@@ -69,7 +72,7 @@ class SmtScheduler:
     ):
         self.machine = machine
         self.params = params or MirsParams()
-        self.smt: SmtParams = self.params.effective_smt()
+        self.smt: SmtParams = self.params.smt
         self.verify = verify
         self.strict = strict
         self.tracer = resolve_tracer(tracer)
@@ -183,10 +186,10 @@ class SmtScheduler:
         return native.solve_fixed_ii
 
     def _skip_reason(self, graph: DependenceGraph) -> str | None:
-        if self.machine.clusters > self.smt.max_clusters:
+        if self.machine.clusters > MAX_CLUSTERS:
             return (
                 f"{self.machine.clusters} clusters exceed the exact "
-                f"backend's gate ({self.smt.max_clusters})"
+                f"backend's gate ({MAX_CLUSTERS})"
             )
         if len(graph) > self.smt.max_nodes:
             return (
@@ -199,8 +202,6 @@ class SmtScheduler:
         return None
 
     def _register_caps(self) -> dict[int, int] | None:
-        if not self.smt.register_bound:
-            return None
         registers = self.machine.cluster.registers
         if registers is None:
             return None
@@ -212,13 +213,7 @@ class SmtScheduler:
         ii: int,
         caps: dict[int, int] | None,
     ) -> FixedIIProblem:
-        return FixedIIProblem(
-            graph,
-            self.machine,
-            ii,
-            horizon_stages=self.smt.horizon_stages,
-            register_caps=caps,
-        )
+        return FixedIIProblem(graph, self.machine, ii, register_caps=caps)
 
     def _oracle(
         self,
@@ -239,7 +234,7 @@ class SmtScheduler:
             "proven_lower_ii": proven_lower,
             "achieved_ii": achieved,
             "proven_optimal": achieved is not None and achieved == proven_lower,
-            "horizon_stages": self.smt.horizon_stages,
+            "horizon_stages": HORIZON_STAGES,
             "register_bound": self._register_caps() is not None,
             "step_budget": self.smt.step_budget,
             "certificates": certificates,
@@ -260,6 +255,11 @@ class SmtScheduler:
         last_ii: int | None = None,
     ) -> ScheduleResult:
         if self.strict:
+            if last_ii is not None and last_ii < mii:  # ladder never ran
+                raise ConvergenceError(
+                    f"exact backend {status} on {graph.name}: the II cap "
+                    f"{last_ii} is below MII={mii}, so no II was tried"
+                )
             raise ConvergenceError(
                 f"exact backend {status} on {graph.name}: {reason}",
                 last_ii=last_ii,

@@ -41,7 +41,7 @@ from repro.core.attempts import (
     run_attempt,
 )
 from repro.core.params import max_ii_for
-from repro.errors import ConfigError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.exec import attempt_cache_key, result_fingerprint
 from repro.exec.cache import ResultCache
 from repro.exec.hashing import canonical_graph, stable_hash
@@ -140,27 +140,21 @@ class TestAttemptCacheKey:
         task = make_task(daxpy(), UNIFIED)
         assert task.with_ii(task.ii + 1).cache_key() != task.cache_key()
 
-    def test_key_ignores_search_policy_and_speculation(self):
-        """A geometric K=4 search shares entries with the serial ladder.
+    def test_key_ignores_speculation_but_tracks_the_churn_bound(self):
+        """A linear K=4 race shares entries with the serial ladder.
 
-        ``bound_eject_churn`` is pinned because the attempt loop *does*
-        consume its resolved value (the geometric policy defaults it
-        on), and the key rightly tracks it.
+        The policy itself is not keyed, but the one thing it decides
+        inside an attempt is: geometric attempts bound eject-only churn
+        and linear ones do not, so they must never share an entry.
         """
         graph = daxpy()
-        base = make_task(
-            graph, UNIFIED, params=MirsParams(bound_eject_churn=False)
+        serial = make_task(graph, UNIFIED, params=MirsParams(speculation=1))
+        raced = make_task(graph, UNIFIED, params=MirsParams(speculation=4))
+        geometric = make_task(
+            graph, UNIFIED, params=MirsParams(ii_search="geometric")
         )
-        variant = make_task(
-            graph,
-            UNIFIED,
-            params=MirsParams(
-                ii_search="geometric",
-                speculation=4,
-                bound_eject_churn=False,
-            ),
-        )
-        assert attempt_cache_key(variant) == attempt_cache_key(base)
+        assert attempt_cache_key(raced) == attempt_cache_key(serial)
+        assert attempt_cache_key(geometric) != attempt_cache_key(serial)
 
     def test_key_tracks_attempt_relevant_params_and_machine(self):
         graph = daxpy()
@@ -421,19 +415,16 @@ class TestConvergenceErrorReporting:
 
 class TestScheduleRequestSpeculation:
     def test_request_folds_speculation_into_params(self):
-        request = ScheduleRequest(search="geometric", speculation=4)
-        params = request.resolved_params()
-        assert params.ii_search == "geometric"
-        assert params.effective_speculation() == 4
-
-    def test_conflicting_speculation_is_rejected(self):
-        request = ScheduleRequest(
-            params=MirsParams(speculation=1), speculation=2
-        )
-        with pytest.raises(ConfigError):
-            request.resolved_params()
+        """The search policy and width travel in ``params``, unchanged,
+        to every backend."""
+        params = MirsParams(ii_search="geometric", speculation=4)
+        for name in ("mirsc", "baseline", "smt"):
+            request = ScheduleRequest(scheduler=name, params=params)
+            assert request.make_scheduler(UNIFIED).params is params
 
     def test_request_builds_a_speculative_scheduler(self):
-        scheduler = ScheduleRequest(speculation=2).make_scheduler(UNIFIED)
+        scheduler = ScheduleRequest(
+            params=MirsParams(speculation=2)
+        ).make_scheduler(UNIFIED)
         assert isinstance(scheduler, MirsC)
         assert scheduler.params.effective_speculation() == 2

@@ -111,3 +111,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "out of range" in err
         assert "1258" in err
+
+    def test_default_request_shares_library_cache_keys(self):
+        """CLI runs and library runs of the same problem hit the same
+        cache entries: the CLI's default parameters key like ``None``."""
+        from repro import parse_config
+        from repro.cli import _request_from
+        from repro.exec import cache_key
+        from repro.workloads.perfect import cached_suite
+
+        args = build_parser().parse_args(["schedule"])
+        graph = cached_suite(1)[0].graph
+        machine = parse_config(args.config)
+        assert cache_key(
+            graph, machine, _request_from(args).params, "mirsc"
+        ) == cache_key(graph, machine, None, "mirsc")

@@ -166,6 +166,27 @@ class TestCache:
         assert cache.get(key) is None
         assert key not in cache
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"\x80\x09.",  # ValueError: unsupported protocol
+            b"X\x02\x00\x00\x00\xff\xfe.",  # UnicodeDecodeError
+            b"cno_such_module\nThing\n.",  # ModuleNotFoundError
+            b"\x80\x05K\x01K\x02R.",  # TypeError: REDUCE args not a tuple
+        ],
+        ids=["value", "unicode", "module", "type"],
+    )
+    def test_any_unpickling_error_is_a_miss(self, tmp_path, blob):
+        """Garbage can raise far more than ``UnpicklingError``; every
+        such entry must read as a miss and be removed, not crash."""
+        cache = ResultCache(tmp_path)
+        key = cache_key(LOOPS[0].graph, MACHINE, None, "mirsc")
+        path = cache._path(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(blob)
+        assert cache.get(key) is None
+        assert key not in cache
+
     def test_put_get_roundtrip_and_maintenance(self, tmp_path):
         cache = ResultCache(tmp_path)
         result = MirsC(MACHINE).schedule(LOOPS[0].graph.clone())
@@ -239,13 +260,7 @@ class TestCacheKeys:
             graph, MACHINE, MirsParams(smt=SmtParams(step_budget=1)), "smt"
         )
         assert exact != cache_key(
-            graph, MACHINE, MirsParams(smt=SmtParams(horizon_stages=5)), "smt"
-        )
-        assert exact != cache_key(
-            graph,
-            MACHINE,
-            MirsParams(smt=SmtParams(register_bound=False)),
-            "smt",
+            graph, MACHINE, MirsParams(smt=SmtParams(max_nodes=8)), "smt"
         )
 
     def test_smt_canonical_resolves_auto_engine(self):

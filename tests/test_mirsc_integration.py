@@ -227,6 +227,11 @@ def test_mirs_forwards_strict():
     result = Mirs(machine, params=starved, strict=False).schedule(graph)
     assert not result.converged
     assert result.ii == 1  # the cap it gave up at
+    assert result.restarts == 0
 
-    with pytest.raises(ConvergenceError):
-        Mirs(machine, params=starved).schedule(graph)  # strict by default
+    # strict by default; the cap sits below MII, so no II was probed
+    # and the error must not name one.
+    with pytest.raises(ConvergenceError, match=r"II cap 1 is below MII=\d+") as err:
+        Mirs(machine, params=starved).schedule(graph)
+    assert err.value.last_ii is None
+    assert err.value.highest_ii is None

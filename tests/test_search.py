@@ -30,6 +30,7 @@ from repro import (
     MirsParams,
     OutcomeKind,
 )
+from repro.core.attempts import final_round_cap_for
 from repro.core.mirsc import Mirs
 from repro.core.search import POLICIES, canonical_search, make_policy
 from repro.exec import ResultCache, SuiteExecutor, cache_key, result_fingerprint
@@ -188,26 +189,32 @@ class TestStress2AndRoundCap:
             MirsC(machine, search="geometric").schedule(graph)
 
     def test_round_cap_param(self):
-        params = MirsParams(final_round_cap=5)
-        assert params.final_round_cap_for(1, 1000) == 5
-        derived = MirsParams()
-        assert derived.final_round_cap_for(1, 16) == 3 + 8 + 2
-        assert derived.final_round_cap_for(4, 320) == 12 + 8 + 40
+        assert final_round_cap_for(1, 16) == 3 + 8 + 2
+        assert final_round_cap_for(4, 320) == 12 + 8 + 40
         # Scales with the loop, never below the historical constant.
-        assert derived.final_round_cap_for(2, 0) == 3 * 2 + 8
-        with pytest.raises(ConfigError):
-            MirsParams(final_round_cap=0)
+        assert final_round_cap_for(2, 0) == 3 * 2 + 8
 
     def test_churn_bound_resolution(self):
+        """The policy alone decides; a policy without the class
+        attribute leaves churn unbounded (the paper's behaviour)."""
+
+        class Bare:
+            def first_ii(self, mii, limit):
+                return mii
+
+            def next_ii(self, outcome):
+                return None
+
+            def canonical(self):
+                return {"name": "bare"}
+
+        assert MirsParams(ii_search=Bare()).effective_bound_eject_churn() is False
         assert MirsParams().effective_bound_eject_churn() is False
         assert MirsParams(
-            ii_search="geometric"
-        ).effective_bound_eject_churn() is True
-        assert MirsParams(
-            ii_search="geometric", bound_eject_churn=False
+            ii_search="linear"
         ).effective_bound_eject_churn() is False
         assert MirsParams(
-            bound_eject_churn=True
+            ii_search="geometric"
         ).effective_bound_eject_churn() is True
 
 
@@ -251,21 +258,13 @@ class TestCacheKeys:
             "mirsc",
         )
 
-    def test_churn_flag_changes_key(self):
-        graph = cached_suite(1)[0].graph
-        assert cache_key(
-            graph, self.MACHINE, MirsParams(), "mirsc"
-        ) != cache_key(
-            graph, self.MACHINE, MirsParams(bound_eject_churn=True), "mirsc"
-        )
-
     def test_parallel_equals_sequential_under_policy(self):
         """Policy objects ship to worker processes with the params."""
         from repro.core.request import ScheduleRequest, SessionConfig
         from repro.eval.runner import schedule_suite
 
         loops = cached_suite(3)
-        request = ScheduleRequest(search="geometric")
+        request = ScheduleRequest(params=MirsParams(ii_search="geometric"))
         seq = schedule_suite(
             self.MACHINE, loops, request, session=SessionConfig(jobs=1)
         )

@@ -31,6 +31,7 @@ from repro import (
     OpKind,
     certify_code,
     generate_code,
+    paper_configuration,
     parse_config,
 )
 from repro.core.attempts import AttemptTask, run_attempt
@@ -65,6 +66,7 @@ from tests.helpers import (
     daxpy,
     graph_seeds,
     random_graph,
+    wide,
 )
 
 FOUR_CLUSTER = parse_config("4-(GP2M1-REG32)")
@@ -359,6 +361,25 @@ class TestSmtScheduler:
         assert "budget" in result.oracle["reason"]
         with pytest.raises(ConvergenceError, match="unsolved"):
             SmtScheduler(UNIFIED, params=params, strict=True).schedule(daxpy())
+
+    def test_cap_below_mii_names_no_ii(self):
+        """With ``max_ii`` under MII the ladder never starts: the strict
+        error names the cap and MII, not an II it never tried."""
+        machine = paper_configuration(1, 64)
+        params = MirsParams(max_ii=1)
+        graph = wide(8)
+        result = SmtScheduler(machine, params=params, strict=False).schedule(
+            graph
+        )
+        assert not result.converged
+        assert result.ii == 1
+        assert result.oracle["status"] == "unsolved"
+        with pytest.raises(
+            ConvergenceError, match=r"II cap 1 is below MII=\d+"
+        ) as err:
+            SmtScheduler(machine, params=params).schedule(graph)
+        assert err.value.last_ii is None
+        assert err.value.highest_ii is None
 
     def test_request_builds_smt_scheduler(self):
         scheduler = ScheduleRequest(scheduler="smt").make_scheduler(UNIFIED)
